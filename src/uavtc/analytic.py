@@ -9,8 +9,14 @@ instants):
   the second instant conditioned on the count at the first.  The survivors
   of the initial batch are binomially thinned by the per-node stay
   probability, while fresh arrivals from outside form an independent Poisson
-  contribution.  Both rates reduce to one-dimensional integrals of the
-  containment cdf.
+  contribution.  A node uniform in the footprint of radius r that moves a
+  distance d stays inside with probability equal to the lens overlap fraction
+
+      L(d) = [2 r^2 acos(d / 2r) - (d / 2) sqrt(4 r^2 - d^2)] / (pi r^2),
+
+  and L(d) = 0 for d >= 2r.  The stay probability is E_V[L(V t)] and, by the
+  displacement theorem, the mean arrival count is
+  lambda * p * pi * r^2 * (1 - E_V[L(V t)]).
 
 * SINR: the probability that the serving link's SINR clears a threshold at
   both instants jointly, at each instant marginally, and at the second
@@ -24,49 +30,67 @@ instants):
 
   where c = threshold * height^alpha / (omega * g_main), A is the
   gamma-fading factor of a static interferer at ground distance x and B
-  averages the same factor over the interferer's random displacement.  The
-  jets from :mod:`uavtc.numerics` compute those Taylor coefficients by
-  carrying truncated series through the integrand itself.
+  averages the same factor over the interferer's random displacement.  A
+  factor (1 - q s)^(-k) has the Taylor coefficients
+  C(k+i-1, i) (1+q)^(-k) (q/(1+q))^i around s = -1, so the coefficients of
+  the integrand form the rank-one array x (delta - a(x) b(x)^T).  Jet
+  arithmetic from :mod:`uavtc.numerics` is needed only for the final
+  exponential.
+
+Every quantity is linear in the speed law.  Each is computed for one fixed
+speed, as a closed form or as one radial integral whose direction average
+is a fixed-node rule, and a speed density adds one outermost integral over
+v, split at the density's breakpoints and at the speeds where a footprint
+circle and its displaced copy become tangent.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mobility import containment_cdf
 from .model import NetworkParams, SpeedDistribution
 from .numerics import (
     Jet2,
     QuadratureSpec,
     falling_factorial_log,
     integrate_detailed,
-    integrate_jet,
     integrate_jet_detailed,
+    jet_add,
     jet_const,
     jet_exp,
-    jet_mul,
-    jet_powneg,
     jet_scale,
     jet_var1,
     jet_var2,
     log_binomial,
 )
 
+# Bound here only because perfbench/spans.py patches them by these names;
+# ROADMAP direction 4 moves that instrumentation into the library.
+from .mobility import containment_cdf  # noqa: F401
+from .numerics import integrate_jet, jet_powneg  # noqa: F401
+
 log = logging.getLogger(__name__)
 
 TWO_PI = 2.0 * math.pi
 _TAIL_EPS = 1e-9
 
-# Tolerances tighten from the outermost (x) to the innermost (phi) level so
-# inner noise never dominates the outer error estimate.
-X_SPEC = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9, max_subdivisions=1000)
-V_SPEC = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10, max_subdivisions=1000)
-PHI_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11, max_subdivisions=1000)
-RADIAL_SPEC = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10, max_subdivisions=2000)
+SPEC = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10, max_subdivisions=1000)
+
+
+@functools.cache
+def _direction_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule for the direction average on one arc.
+
+    It is applied to each arc between gain crossings, where the integrand is
+    analytic.  Built on first use, because numpy.polynomial is slow to import.
+    """
+    return np.polynomial.legendre.leggauss(16)
 
 
 # ---------------------------------------------------------------------------
@@ -100,53 +124,45 @@ class InterfererPmf:
         return float(np.arange(len(self.probs)) @ self.probs)
 
 
-def _support_endpoints(speed: SpeedDistribution) -> tuple[float, ...]:
-    if speed.atom is not None:
-        return (speed.atom,)
-    return (speed.support_min, speed.support_max)
-
-
-def _radial_breakpoints(radii, speed: SpeedDistribution, t: float) -> set[float]:
-    """Candidate kinks of x -> containment_cdf(r, x, ...) for r in radii."""
-    pts: set[float] = set(radii)
-    for r in radii:
-        for s in _support_endpoints(speed):
-            pts.update((abs(r - s * t), r + s * t, abs(s * t - r)))
-    return pts
+def _lens_fraction(d: float, r: float) -> float:
+    """Share of a disc of radius r that its copy shifted by d still covers."""
+    u = d / (2.0 * r)
+    if u >= 1.0:
+        return 0.0
+    return (2.0 / math.pi) * (math.acos(u) - u * math.sqrt(1.0 - u * u))
 
 
 def footprint_ingress_integral(params: NetworkParams, speed: SpeedDistribution, t: float) -> float:
     """Probability that a node uniform in the footprint is still inside after t.
 
-    Equals the integral of containment_cdf(r_out | x) against the uniform
-    radial density 2x/r_out^2 over [0, r_out].
+    Equals E_V[L(V t)] for the lens overlap fraction L of the footprint.
     """
     r_out = params.antenna.r_out
     if t == 0 or speed.support_max * t == 0:
         return 1.0
-    kinks = _radial_breakpoints((r_out,), speed, t)
-
-    def integrand(x: float) -> float:
-        return containment_cdf(r_out, x, speed, t) * 2.0 * x / (r_out * r_out)
-
-    value, _ = integrate_detailed(integrand, 0.0, r_out, RADIAL_SPEC, points=kinks)
+    if speed.atom is not None:
+        return _lens_fraction(speed.atom * t, r_out)
+    value, _ = integrate_detailed(
+        lambda v: speed.pdf(v) * _lens_fraction(v * t, r_out),
+        speed.support_min,
+        speed.support_max,
+        SPEC,
+        points=(*speed.pdf_breakpoints, 2.0 * r_out / t),  # L has a kink at d = 2r
+    )
     return min(max(value, 0.0), 1.0)
 
 
 def footprint_egress_integral(params: NetworkParams, speed: SpeedDistribution, t: float) -> float:
-    """Mean number of outside nodes that move into the footprint by t."""
+    """Mean number of outside nodes that move into the footprint by t.
+
+    By stationarity this equals the mean number of mobile nodes of a
+    full-intensity footprint that leave it.
+    """
     r_out = params.antenna.r_out
-    reach = speed.support_max * t
-    if params.lam == 0.0 or params.p_mobile == 0.0 or reach == 0.0:
+    if params.lam == 0.0 or params.p_mobile == 0.0 or speed.support_max * t == 0.0:
         return 0.0
-    upper = r_out + reach
-    kinks = _radial_breakpoints((r_out,), speed, t)
-
-    def integrand(x: float) -> float:
-        return containment_cdf(r_out, x, speed, t) * x
-
-    value, _ = integrate_detailed(integrand, r_out, upper, RADIAL_SPEC, points=kinks)
-    return TWO_PI * params.lam * params.p_mobile * max(value, 0.0)
+    stay = footprint_ingress_integral(params, speed, t)
+    return params.lam * params.p_mobile * math.pi * r_out * r_out * (1.0 - stay)
 
 
 def mean_departures(m: int, params: NetworkParams, speed: SpeedDistribution, t: float) -> float:
@@ -175,12 +191,17 @@ def conditional_interferer_pmf(
 ) -> InterfererPmf:
     """Pmf of the interferer count at the second instant given m at the first.
 
-    Each term is assembled in the log domain and summed linearly; n_max
-    defaults to the smallest index whose cumulative mass exceeds 1 - 1e-9,
-    capped at m + ceil(A + 12*sqrt(A)) + 20 where A is the mean arrival count.
+    ``m`` is any integer type (numpy integers included).  Each term is
+    assembled in the log domain and summed linearly; n_max defaults to the
+    smallest index whose cumulative mass exceeds 1 - 1e-9, capped at
+    m + ceil(A + 12*sqrt(A)) + 20 where A is the mean arrival count.
     """
-    if m < 0 or not isinstance(m, int):
-        raise ValueError("m must be a non-negative integer")
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise ValueError(f"m must be a non-negative integer, got {m!r}") from None
+    if m < 0:
+        raise ValueError(f"m must be a non-negative integer, got {m!r}")
     stay_in = footprint_ingress_integral(params, speed, t)
     arrivals = footprint_egress_integral(params, speed, t)
     p = params.p_mobile
@@ -252,141 +273,122 @@ class SuccessReport:
     quadrature_error_bound: float
 
 
-class _ExponentContext:
-    """Shared state for one Laplace-exponent integration."""
+def _integrate_mapped(f, a: float, b: float, points) -> tuple[np.ndarray, float]:
+    """Integral of the array-valued f over [a, b] and its error bound.
 
-    def __init__(self, params, speed, t, threshold, s1_active, s2_active):
+    The segment between consecutive sorted ``points`` number i is reached
+    from u in [i, i + 1] through x = lo + half * (1 - cos(pi * (u - i))).
+    The map clusters nodes at both ends of every segment, where arc lengths
+    and lens areas behave like square roots or 3/2 powers; in u they are
+    smooth, so one or two Kronrod passes per segment suffice.
+    """
+    edges = sorted({a, b, *(p for p in points if a < p < b)})
+    n = len(edges) - 1
+
+    def mapped(u: float) -> Jet2:
+        i = min(int(u), n - 1)
+        half = 0.5 * (edges[i + 1] - edges[i])
+        c = math.pi * (u - i)
+        return Jet2(f(edges[i] + half * (1.0 - math.cos(c))) * (half * math.pi * math.sin(c)))
+
+    total, err = integrate_jet_detailed(mapped, 0.0, float(n), SPEC, points=range(1, n))
+    return total.coeffs, err
+
+
+class _Exponent:
+    """Taylor coefficients of the Laplace exponent E around (-1, -1).
+
+    A fading factor contributes the coefficient vector ``series(d2)``; an
+    inactive instant contributes the factor 1, whose vector is
+    e0 = (1, 0, ..., 0).
+    """
+
+    def __init__(self, params, threshold, s1_active, s2_active):
         self.params = params
-        self.speed = speed
-        self.t = float(t)
-        self.threshold = float(threshold)
         k = params.fading.k
-        orders = (k - 1, k - 1)
-        point = (-1.0, -1.0)
         self.k = k
-        self.one = jet_const(1.0, orders, point)
-        self.s1 = jet_var1(orders, point) if s1_active else jet_const(0.0, orders, point)
-        self.s2 = jet_var2(orders, point) if s2_active else jet_const(0.0, orders, point)
+        self.binom = np.array([math.comb(k + i - 1, i) for i in range(k)], dtype=float)
+        self.powers = np.arange(k)
+        self.e0 = np.eye(1, k)[0]
+        self.s1_active = s1_active
         self.s2_active = s2_active
+        self.scale = threshold / params.antenna.g_main
         self.h2 = params.height * params.height
         self.half_alpha = params.alpha / 2.0
-        self.mobile = (
-            s2_active
-            and params.p_mobile > 0.0
-            and self.t > 0.0
-            and speed.support_max > 0.0
-        )
-        self.x_max = (
-            params.antenna.r_out + speed.support_max * self.t
-            if self.mobile
-            else params.antenna.r_out
-        )
 
-    def q_of_d2(self, d2: float) -> float:
-        """Threshold-scaled received-power coefficient at squared distance d2."""
-        g = self.params.antenna.gain_at_sq(d2)
-        if g == 0.0:
-            return 0.0
-        ratio = (self.h2 / (self.h2 + d2)) ** self.half_alpha
-        return (self.threshold / self.params.antenna.g_main) * ratio * g
+    def series(self, d2: np.ndarray) -> np.ndarray:
+        """Coefficients of (1 - q s)^(-k) for q at squared distances d2, shape (n, k)."""
+        q = (self.scale * self.params.antenna.gain_at_sq(d2)
+             * (self.h2 / (self.h2 + d2)) ** self.half_alpha)[:, None]
+        return self.binom * (1.0 + q) ** -self.k * (q / (1.0 + q)) ** self.powers
 
-    def factor(self, q: float, var: Jet2) -> Jet2:
-        """Gamma-fading factor (1 - q*s)^(-k) as a jet in the given variable."""
-        if q == 0.0:
-            return self.one
-        base = self.one - q * var
-        # at s near -1 the constant term is 1 + q >= 1, never singular
-        assert base.coeffs[0, 0] > 0.0
-        return jet_powneg(base, self.k)
-
-    # -- mobile interferer factor -------------------------------------------
-
-    def _phi_splits(self, x: float, vt: float) -> list[float]:
+    def at_distance(self, vt: float) -> tuple[np.ndarray, float]:
+        """E when every mobile node moves the distance vt; (coefficients, error bound)."""
         ant = self.params.antenna
-        pts = []
-        denom = 2.0 * x * vt
+        p = self.params.p_mobile
+        points = {ant.r_in, ant.r_out}
         for r in (ant.r_in, ant.r_out):
-            arg = (x * x + vt * vt - r * r) / denom
-            if -1.0 < arg < 1.0:
-                pts.append(math.acos(arg))
-        return pts
+            points.update((abs(r - vt), r + vt))
 
-    def phi_average(self, x: float, v: float) -> Jet2:
-        """Fading factor averaged over the uniform direction angle."""
-        vt = v * self.t
-        if x == 0.0 or vt == 0.0:
-            return self.factor(self.q_of_d2(x * x + vt * vt), self.s2)
-        if abs(x - vt) > self.params.antenna.r_out:
-            # every direction leaves the node outside the footprint
-            return self.one
-        splits = self._phi_splits(x, vt)
+        def bracket(x: float) -> np.ndarray:
+            # direction angles in [0, pi], split where the moved node
+            # crosses a gain boundary
+            cuts = [0.0, math.pi]
+            if x * vt > 0.0:
+                for r in (ant.r_in, ant.r_out):
+                    if abs(x - vt) < r < x + vt:
+                        cuts.append(math.acos((x * x + vt * vt - r * r) / (2.0 * x * vt)))
+                # the path loss is singular at phi = +-i*pole, close to the
+                # real axis when nodes fly low; panels doubling in length
+                # from phi = 0 each stay as far from it as they are long
+                pole = math.acosh(1.0 + (self.h2 + (x - vt) ** 2) / (2.0 * x * vt))
+                while pole < math.pi:
+                    cuts.append(pole)
+                    pole *= 2.0
+            nodes, weights = _direction_rule()
+            cuts = np.sort(cuts)
+            half = 0.5 * np.diff(cuts)[:, None]
+            phi = (cuts[:-1, None] + half * (1.0 + nodes)).ravel()
+            weights = (half * weights).ravel() / math.pi
+            d2 = np.concatenate(([x * x], x * x + vt * vt - 2.0 * x * vt * np.cos(phi)))
+            terms = self.series(d2)
+            a = terms[0] if self.s1_active else self.e0
+            b = p * (weights @ terms[1:]) + (1.0 - p) * terms[0] if self.s2_active else self.e0
+            out = -x * np.outer(a, b)
+            out[0, 0] += x
+            return out
 
-        def integrand(phi: float) -> Jet2:
-            d2 = x * x + vt * vt - 2.0 * x * vt * math.cos(phi)
-            return self.factor(self.q_of_d2(d2), self.s2)
-
-        avg = integrate_jet(integrand, 0.0, math.pi, PHI_SPEC, points=splits)
-        return jet_scale(avg, 1.0 / math.pi)
-
-    def _v_splits(self, x: float) -> set[float]:
-        ant = self.params.antenna
-        pts = set(self.speed.pdf_breakpoints)
-        if self.t > 0.0:
-            for r in (ant.r_in, ant.r_out):
-                pts.update((abs(x - r) / self.t, (x + r) / self.t))
-        return pts
-
-    def mobile_factor(self, x: float) -> Jet2:
-        atom = self.speed.atom
-        if atom is not None:
-            return self.phi_average(x, atom)
-
-        def integrand(v: float) -> Jet2:
-            return jet_scale(self.phi_average(x, v), self.speed.pdf(v))
-
-        return integrate_jet(
-            integrand,
-            self.speed.support_min,
-            self.speed.support_max,
-            V_SPEC,
-            points=self._v_splits(x),
-        )
-
-    # -- radial integrand ----------------------------------------------------
-
-    def bracket(self, x: float) -> Jet2:
-        q0 = self.q_of_d2(x * x)
-        a_fac = self.factor(q0, self.s1)
-        if self.mobile:
-            p = self.params.p_mobile
-            static_fac = self.factor(q0, self.s2) if p < 1.0 else None
-            b_fac = jet_scale(self.mobile_factor(x), p)
-            if static_fac is not None:
-                b_fac = b_fac + jet_scale(static_fac, 1.0 - p)
-        elif self.s2_active:
-            b_fac = self.factor(q0, self.s2)
-        else:
-            b_fac = self.one
-        return jet_scale(self.one - jet_mul(a_fac, b_fac), x)
-
-    def x_breakpoints(self) -> set[float]:
-        ant = self.params.antenna
-        pts = {ant.r_in, ant.r_out}
-        if self.mobile:
-            pts |= _radial_breakpoints((ant.r_in, ant.r_out), self.speed, self.t)
-        return pts
+        raw, err = _integrate_mapped(bracket, 0.0, ant.r_out + vt, points)
+        scale = TWO_PI * self.params.lam
+        return -scale * raw, scale * err
 
 
 def _exponent_jet_detailed(params, speed, t, threshold, s1_active, s2_active):
     k = params.fading.k
-    orders = (k - 1, k - 1)
-    zero = jet_const(0.0, orders)
     if params.lam == 0.0 or threshold == 0.0:
-        return zero, 0.0
-    ctx = _ExponentContext(params, speed, t, threshold, s1_active, s2_active)
-    raw, err = integrate_jet_detailed(ctx.bracket, 0.0, ctx.x_max, X_SPEC, points=ctx.x_breakpoints())
-    scale = TWO_PI * params.lam
-    return jet_scale(raw, -scale), err * scale
+        return jet_const(0.0, (k - 1, k - 1)), 0.0
+    ctx = _Exponent(params, threshold, s1_active, s2_active)
+    mobile = s2_active and params.p_mobile > 0.0 and speed.support_max * t > 0.0
+    if not mobile or speed.atom is not None:
+        coeffs, err = ctx.at_distance(speed.atom * t if mobile else 0.0)
+        return Jet2(coeffs), err
+
+    # E is linear in the speed law: average the fixed-speed exponent over v
+    worst_inner = 0.0
+
+    def at_speed(v: float) -> np.ndarray:
+        nonlocal worst_inner
+        coeffs, inner = ctx.at_distance(v * t)
+        worst_inner = max(worst_inner, inner)
+        return speed.pdf(v) * coeffs
+
+    # E is smooth in v except where a footprint circle and a displaced one
+    # become tangent, and at the breakpoints of the density
+    radii = (params.antenna.r_in, params.antenna.r_out)
+    tangent = [abs(a + sign * b) / t for a in radii for b in radii for sign in (-1.0, 1.0)]
+    coeffs, err = _integrate_mapped(
+        at_speed, speed.support_min, speed.support_max, (*speed.pdf_breakpoints, *tangent))
+    return Jet2(coeffs), err + worst_inner
 
 
 def laplace_exponent_jet(
@@ -407,15 +409,14 @@ def _success_detailed(params, speed, t, threshold, s1_active, s2_active):
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
     exponent, err = _exponent_jet_detailed(params, speed, t, threshold, s1_active, s2_active)
-    ctx_orders = exponent.orders
-    point = exponent.point
-    s1 = jet_var1(ctx_orders, point) if s1_active else jet_const(0.0, ctx_orders, point)
-    s2 = jet_var2(ctx_orders, point) if s2_active else jet_const(0.0, ctx_orders, point)
+    orders = exponent.orders
+    zero = jet_const(0.0, orders)
+    s1 = jet_var1(orders) if s1_active else zero
+    s2 = jet_var2(orders) if s2_active else zero
     h = params.height
     c = threshold * h**params.alpha / (params.fading.omega * params.antenna.g_main)
-    noise_jet = jet_scale(s1 + s2, c * params.noise)
-    full = jet_mul(jet_exp(noise_jet), jet_exp(exponent))
-    value = float(full.coeffs.sum())
+    noise_jet = jet_scale(jet_add(s1, s2), c * params.noise)
+    value = float(jet_exp(jet_add(noise_jet, exponent)).coeffs.sum())
     if value > 1.0 + _TAIL_EPS or value < -_TAIL_EPS:
         log.warning("success probability %.3e outside [0, 1]; clamping", value)
     return min(max(value, 0.0), 1.0), err
@@ -440,8 +441,10 @@ def marginal_success(
 ) -> float:
     """Single-instant success probability; ``which`` is "time0" or "timeT".
 
-    By stationarity of the displaced point process the two marginals agree;
-    both routes are kept because they exercise different integrals.
+    By stationarity of the displaced point process the two marginals agree.
+    "time0" needs no mobility and is the one ``retransmission_report`` uses;
+    "timeT" averages over the displacement, so comparing the two checks the
+    mobile part of the exponent.
     """
     if which == "time0":
         return _success_detailed(params, speed, t, threshold, True, False)[0]
@@ -458,25 +461,23 @@ def retransmission_report(
 ) -> SuccessReport:
     """Joint/marginal success and the failure-conditioned retry success.
 
-    The conditional is (p_marginal_t - p_joint) / (1 - p_marginal_0); it is
+    The time-t marginal equals the time-0 marginal by stationarity.  The
+    conditional is (p_marginal_t - p_joint) / (1 - p_marginal_0); it is
     undefined when the first-instant failure event has vanishing probability.
     """
-    p_m0, err0 = _success_detailed(params, speed, t, threshold, True, False)
-    if p_m0 >= 1.0 - 1e-12:
+    p_m, err_m = _success_detailed(params, speed, t, threshold, True, False)
+    if p_m >= 1.0 - 1e-12:
         raise ValueError("failure event has vanishing probability; conditional undefined")
-    p_mt, err_t = _success_detailed(params, speed, t, threshold, False, True)
     p_joint, err_j = _success_detailed(params, speed, t, threshold, True, True)
-    if p_joint > min(p_m0, p_mt) + _TAIL_EPS:
-        log.warning(
-            "joint success %.12g exceeds a marginal (%.12g, %.12g)", p_joint, p_m0, p_mt
-        )
-    p_joint = min(p_joint, p_m0, p_mt)
-    retx = (p_mt - p_joint) / (1.0 - p_m0)
+    if p_joint > p_m + _TAIL_EPS:
+        log.warning("joint success %.12g exceeds the marginal %.12g", p_joint, p_m)
+    p_joint = min(p_joint, p_m)
+    retx = (p_m - p_joint) / (1.0 - p_m)
     return SuccessReport(
         p_joint=p_joint,
-        p_marginal_0=p_m0,
-        p_marginal_t=p_mt,
+        p_marginal_0=p_m,
+        p_marginal_t=p_m,
         p_retx_given_fail=min(max(retx, 0.0), 1.0),
-        p_independent_joint=p_m0 * p_mt,
-        quadrature_error_bound=err0 + err_t + err_j,
+        p_independent_joint=p_m * p_m,
+        quadrature_error_bound=err_m + err_j,
     )

@@ -54,16 +54,20 @@ def displaced_distance(x, speed, angle, duration):
     x = np.asarray(x, dtype=float)
     vt = np.asarray(speed, dtype=float) * duration
     rad = x * x + vt * vt - 2.0 * x * vt * np.cos(angle)
-    scale = x * x + vt * vt
-    assert np.all(rad >= -1e-12 * scale), "radicand below rounding tolerance"
+    if np.isnan(rad).any():
+        raise ValueError("displaced_distance needs finite x, speed, angle and duration")
     out = np.sqrt(np.maximum(rad, 0.0))
     return float(out) if out.ndim == 0 else out
 
 
 def _arc_fraction(x: float, vt: float, r: float) -> float:
-    """Fraction of directions keeping the node within r (partial-arc regime)."""
-    arg = (x * x + vt * vt - r * r) / (2.0 * x * vt)
-    assert -1.0 - 1e-9 <= arg <= 1.0 + 1e-9, f"arc argument {arg} far outside [-1, 1]"
+    """Fraction of directions keeping the node within r (partial-arc regime).
+
+    When 2*x*vt underflows to 0 the arccos argument takes its vt -> 0 limit,
+    the sign of x^2 - r^2.
+    """
+    denom = 2.0 * x * vt
+    arg = (x * x + vt * vt - r * r) / denom if denom > 0.0 else np.sign(x * x - r * r)
     return float(np.arccos(np.clip(arg, -1.0, 1.0))) / _PI
 
 
@@ -75,12 +79,12 @@ def containment_cdf(
     spec: QuadratureSpec = CONTAINMENT_SPEC,
 ) -> float:
     """Probability that a node starting at distance x ends within distance r."""
-    if r <= 0:
-        raise ValueError("r must be > 0")
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not r > 0:
+        raise ValueError(f"r must be > 0, got {r!r}")
+    if not x >= 0:
+        raise ValueError(f"x must be >= 0, got {x!r}")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t!r}")
     if t == 0:
         return 1.0 if x <= r else 0.0
     if x == 0:

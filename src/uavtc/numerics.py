@@ -4,9 +4,10 @@ Taylor (jet) arithmetic, and log-domain combinatorics.
 A jet stores the Taylor coefficients of a two-variable function around a fixed
 expansion point, truncated at a per-variable degree.  Arithmetic on jets
 (add, multiply, negative integer powers, exp) propagates derivatives exactly
-up to the truncation order.  The success-probability pipeline uses jets to
-read off the mixed partial derivatives it needs without symbolic algebra:
-coefficient c[i][j] equals the (i,j) mixed partial divided by i!*j!.
+up to the truncation order: coefficient c[i][j] equals the (i,j) mixed
+partial divided by i!*j!.  The success-probability pipeline builds the
+coefficients of its exponent directly and uses jets for the final
+exponential.
 
 The quadrature is a 15-point Kronrod rule with embedded 7-point Gauss rule,
 refined by bisecting the segment with the largest error estimate.  Integrands
@@ -49,10 +50,12 @@ class SingularJetError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """Raised when adaptive refinement exhausts its subdivision budget.
+    """Raised when adaptive quadrature cannot produce a result.
 
-    Carries the best available estimate and its error bound so callers can
-    decide whether to accept a degraded result.
+    Either refinement exhausted its subdivision budget, or the integrand
+    returned a non-finite value, which stops it at once.  Carries the best
+    available estimate and its error bound so callers can decide whether to
+    accept a degraded result; after a non-finite value they are None and inf.
     """
 
     def __init__(self, message: str, estimate, error_bound: float):
@@ -97,34 +100,6 @@ class Jet2:
         pow1 = d1 ** np.arange(n1)
         pow2 = d2 ** np.arange(n2)
         return float(pow1 @ self.coeffs @ pow2)
-
-    # Operator sugar; scalars promote to constant jets.
-    def __add__(self, other):
-        return jet_add(self, _promote(other, self))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return jet_scale(self, -1.0)
-
-    def __sub__(self, other):
-        return jet_add(self, jet_scale(_promote(other, self), -1.0))
-
-    def __rsub__(self, other):
-        return jet_add(_promote(other, self), jet_scale(self, -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, Jet2):
-            return jet_mul(self, other)
-        return jet_scale(self, float(other))
-
-    __rmul__ = __mul__
-
-
-def _promote(value, template: Jet2) -> Jet2:
-    if isinstance(value, Jet2):
-        return value
-    return jet_const(float(value), template.orders, template.point)
 
 
 def _check_compatible(a: Jet2, b: Jet2) -> None:
@@ -317,6 +292,11 @@ def _gk15(f, a: float, b: float):
     half = 0.5 * (b - a)
     vals = [np.asarray(f(mid + half * u), dtype=float) for u in _NODES]
     stacked = np.stack(vals)
+    finite = np.isfinite(stacked).reshape(len(_NODES), -1).all(axis=1)
+    if not finite.all():
+        node = float(mid + half * _NODES[np.argmin(finite)])
+        raise QuadratureError(f"integrand is not finite at x={node!r}",
+                              estimate=None, error_bound=math.inf)
     kron = half * np.tensordot(_KW, stacked, axes=1)
     gauss = half * np.tensordot(_GW, stacked, axes=1)
     err = float(np.max(np.abs(kron - gauss)))

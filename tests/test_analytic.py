@@ -17,10 +17,17 @@ from uavtc.analytic import (
     retransmission_report,
     unconditional_interferer_pmf,
 )
+from uavtc.mobility import containment_cdf
 from uavtc.model import FixedSpeed, TabulatedSpeed, UniformSpeed
+from uavtc.numerics import QuadratureSpec
 
 import helpers
-from helpers import baseline_scenario, pmf_convolution_oracle
+from helpers import (
+    ScalarJointOracle,
+    baseline_scenario,
+    pmf_convolution_oracle,
+    richardson_mixed_partial,
+)
 
 
 @pytest.fixture(scope="module")
@@ -88,9 +95,64 @@ def test_flow_balance_identity(base, speed, t):
     assert egress == pytest.approx(expected, rel=1e-8, abs=1e-10)
 
 
+def _cosine_panels(f, a, b, cuts, n=20):
+    """Fixed-node Legendre sum of f over [a, b], one panel between cuts.
+
+    Each panel is mapped through x = lo + half*(1 - cos(u)), which smooths
+    the square-root behaviour of the containment law at its kinks.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    u = 0.5 * math.pi * (nodes + 1.0)
+    edges = sorted({a, b, *(c for c in cuts if a < c < b)})
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (hi - lo)
+        for ui, wi in zip(u, weights):
+            total += 0.5 * math.pi * wi * half * math.sin(ui) * f(lo + half * (1.0 - math.cos(ui)))
+    return total
+
+
+@pytest.mark.parametrize("speed", [
+    FixedSpeed(10.0),
+    UniformSpeed(5.0, 15.0),
+    TabulatedSpeed([[0.0, 0.0], [6.0, 0.2], [12.0, 0.05]]),
+])
+@pytest.mark.parametrize("t", [0.5, 1.0, 3.0, 5.0])
+def test_rates_match_containment_integrals(base, speed, t):
+    # the rates as radial integrals of the single-node containment law; the
+    # gaps straddle 2r/v, where a node at speed 10 can no longer stay inside
+    p = base.params
+    r = p.antenna.r_out
+    tight = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=2000)
+    speeds = (speed.atom,) if speed.atom is not None else speed.pdf_breakpoints
+    cuts = {r, *(abs(r - v * t) for v in speeds), *(r + v * t for v in speeds)}
+
+    def cdf(x):
+        return containment_cdf(r, x, speed, t, tight)
+
+    stay = _cosine_panels(lambda x: cdf(x) * 2.0 * x / (r * r), 0.0, r, cuts)
+    arrivals = 2.0 * math.pi * p.lam * p.p_mobile * _cosine_panels(
+        lambda x: cdf(x) * x, r, r + speed.support_max * t, cuts)
+    assert footprint_ingress_integral(p, speed, t) == pytest.approx(stay, abs=1e-9)
+    assert footprint_egress_integral(p, speed, t) == pytest.approx(arrivals, abs=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # conditional count pmf
 # ---------------------------------------------------------------------------
+
+
+def test_pmf_accepts_numpy_integers(base):
+    via_numpy = conditional_interferer_pmf(np.int64(5), base.params, base.speed, 1.0)
+    plain = conditional_interferer_pmf(5, base.params, base.speed, 1.0)
+    assert type(via_numpy.m) is int and via_numpy.m == 5
+    np.testing.assert_array_equal(via_numpy.probs, plain.probs)
+
+
+@pytest.mark.parametrize("m", [5.0, -1, "5"])
+def test_pmf_rejects_non_integer_counts(base, m):
+    with pytest.raises(ValueError, match="non-negative integer"):
+        conditional_interferer_pmf(m, base.params, base.speed, 1.0)
 
 
 @pytest.mark.parametrize("m", [0, 1, 5, 15])
@@ -249,3 +311,40 @@ def test_joint_success_respects_marginal_bound_on_grid(base):
         rep = retransmission_report(base.params, base.speed, t, base.threshold)
         assert rep.p_joint <= min(rep.p_marginal_0, rep.p_marginal_t) + 1e-9
         assert rep.p_retx_given_fail <= rep.p_marginal_t + 1e-9
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_speed_density_success_matches_mixed_oracle(k):
+    # the scalar oracle supports one speed; a density mixes its exponents
+    # over Legendre nodes in v, split where vt = r_out - r_in
+    sc = baseline_scenario(k=k)
+    t = 1.0
+    speed = UniformSpeed(5.0, 15.0)
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    oracles, mix = [], []
+    for lo, hi in ((5.0, 10.0), (10.0, 15.0)):
+        half = 0.5 * (hi - lo)
+        for u, w in zip(nodes, weights):
+            oracles.append(ScalarJointOracle(sc.params, lo + half * (1.0 + u), t, sc.threshold))
+            mix.append(w * half * speed.pdf(lo + half * (1.0 + u)))
+    noise_rate = oracles[0].noise_rate
+
+    def laplace(s1, s2):
+        exponent = sum(w * o.exponent(s1, s2) for o, w in zip(oracles, mix))
+        return math.exp(noise_rate * (s1 + s2) + exponent)
+
+    def success(n1, n2, at):
+        return sum(richardson_mixed_partial(laplace, i, j, at=at) /
+                   (math.factorial(i) * math.factorial(j))
+                   for i in range(n1) for j in range(n2))
+
+    assert joint_success(sc.params, speed, t, sc.threshold) == pytest.approx(
+        success(k, k, (-1.0, -1.0)), abs=1e-6)
+    assert marginal_success(sc.params, speed, t, sc.threshold, "timeT") == pytest.approx(
+        success(1, k, (0.0, -1.0)), abs=1e-6)
+    assert marginal_success(sc.params, speed, t, sc.threshold, "time0") == pytest.approx(
+        success(k, 1, (-1.0, 0.0)), abs=1e-6)
+
+
+def test_report_uses_stationary_marginal(baseline_report):
+    assert baseline_report.p_marginal_t == baseline_report.p_marginal_0

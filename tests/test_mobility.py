@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavtc.mobility import containment_cdf, displaced_distance
@@ -95,10 +95,24 @@ def test_containment_monotone_in_radius(r, x, t):
 
 @given(st.floats(1.0, 40.0), st.floats(0.0, 50.0), st.floats(0.0, 3.0))
 @settings(max_examples=60, deadline=None)
+@example(r=1.0, x=1.0, t=5e-324)  # v*t underflows to 0 for v < 1
 def test_containment_in_unit_interval_tabulated(r, x, t):
     speed = TabulatedSpeed([[0.0, 0.0], [4.0, 0.3], [9.0, 0.1]])
     value = containment_cdf(r, x, speed, t)
     assert 0.0 <= value <= 1.0
+
+
+@pytest.mark.parametrize("speed", [
+    TabulatedSpeed([[0.0, 0.0], [4.0, 0.3], [9.0, 0.1]]),
+    UniformSpeed(0.0, 10.0),
+])
+def test_containment_limit_when_displacement_underflows(speed):
+    # 2*x*v*t underflows to 0 for the slow speeds; the arc fraction takes
+    # its vt -> 0 limit: inside, on the boundary (half the directions), outside
+    t = 5e-324
+    assert containment_cdf(1.0, 0.5, speed, t) == 1.0
+    assert containment_cdf(1.0, 1.0, speed, t) == pytest.approx(0.5, abs=1e-12)
+    assert containment_cdf(1.0, 1.5, speed, t) == 0.0
 
 
 @pytest.mark.parametrize("speed", [
@@ -126,3 +140,20 @@ def test_containment_validates_inputs():
         containment_cdf(25.0, -1.0, speed, 1.0)
     with pytest.raises(ValueError):
         containment_cdf(25.0, 10.0, speed, -1.0)
+
+
+@pytest.mark.parametrize("r,x,t,name", [
+    (25.0, math.nan, 1.0, "x"),
+    (25.0, 10.0, math.nan, "t"),
+    (25.0, 10.0, math.inf, "t"),
+    (math.nan, 10.0, 1.0, "r"),
+])
+def test_containment_rejects_non_finite_inputs(r, x, t, name):
+    for speed in (FixedSpeed(10.0), UniformSpeed(5.0, 15.0)):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            containment_cdf(r, x, speed, t)
+
+
+def test_displaced_distance_rejects_nan():
+    with pytest.raises(ValueError, match="finite"):
+        displaced_distance(np.array([1.0, math.nan]), 5.0, 0.0, 1.0)

@@ -197,6 +197,20 @@ def test_quadrature_budget_exhaustion_raises():
         abs=1.0)
 
 
+def test_quadrature_stops_at_non_finite_integrand():
+    calls = []
+
+    def half_nan(x):
+        calls.append(x)
+        return math.nan if x > 0.5 else 1.0
+
+    with pytest.raises(QuadratureError, match="not finite at x=") as exc_info:
+        integrate(half_nan, 0.0, 1.0)
+    node = float(str(exc_info.value).rsplit("x=", 1)[1])
+    assert node > 0.5
+    assert len(calls) == 15  # one Kronrod pass, no bisection
+
+
 def test_integrate_jet_matches_componentwise_scalars():
     def f(x):
         return Jet2(np.array([[math.sin(x), math.cos(x)],
