@@ -40,7 +40,6 @@ from .simulate import (
     EstimatorResult,
     JointSuccessEstimate,
     NetworkRealization,
-    UavState,
     estimate_arrivals_departures,
     estimate_conditional_pmf,
     estimate_conditional_success,

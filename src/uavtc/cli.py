@@ -172,17 +172,14 @@ def _rows_joint_success(spec: ExperimentSpec):
     sc = spec.scenario
     for t in spec.sweep_t:
         for db in spec.sweep_tdb:
-            threshold = db_to_linear(db)
-            p_joint = analytic.joint_success(sc.params, sc.speed, t, threshold)
-            p_m0 = analytic.marginal_success(sc.params, sc.speed, t, threshold, "time0")
-            p_mt = analytic.marginal_success(sc.params, sc.speed, t, threshold, "timeT")
+            report = analytic.retransmission_report(sc.params, sc.speed, t, db_to_linear(db))
             est = simulate.estimate_joint_success(
                 _with(sc, t=t, threshold_db=db), workers=spec.workers
             )
-            log.info("joint-success t=%g T=%gdB: analytic=%.6f", t, db, p_joint)
+            log.info("joint-success t=%g T=%gdB: analytic=%.6f", t, db, report.p_joint)
             rows.append([
-                t, db, p_joint, est.joint.estimate, est.joint.std_error,
-                p_m0, p_mt, p_m0 * p_mt,
+                t, db, report.p_joint, est.joint.estimate, est.joint.std_error,
+                report.p_marginal_0, report.p_marginal_t, report.p_independent_joint,
             ])
     return rows
 
@@ -244,7 +241,8 @@ _COMPUTE = {
 def run(spec: ExperimentSpec) -> dict:
     """Execute one experiment grid and write all artifacts."""
     started = time.time()
-    rows = _COMPUTE[spec.kind](spec)
+    with simulate.shared_pool(spec.workers):
+        rows = _COMPUTE[spec.kind](spec)
     header = _HEADERS[spec.kind]
 
     spec.out_dir.mkdir(parents=True, exist_ok=True)

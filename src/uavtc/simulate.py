@@ -1,14 +1,23 @@
 """Monte Carlo engine: network sampling, SINR replication kernels, estimators.
 
-Reproducibility contract: replication ``rep`` of an estimator draws from a
-counter-based Philox stream keyed by (seed, estimator id) with the counter
-set to ``rep``.  Per-replication statistics are small non-negative integers
-accumulated by exact integer summation, so the final estimates are identical
-bit for bit regardless of how replications are chunked across workers.
+Replications run in blocks of ``_BLOCK``.  Block ``b`` of an estimator holds
+replications ``b * _BLOCK`` onwards (the last block may be short) and draws
+from one counter-based Philox stream keyed by (seed, estimator id) with the
+counter set to ``b``.  A block samples all of its replications at once: one
+Poisson call for the node counts, one concatenated array per node attribute,
+and ``NetworkRealization.owner`` naming each node's replication, so that
+per-replication sums are one ``np.bincount``.  Per-replication statistics are
+small non-negative integers accumulated by exact integer summation, and
+workers receive whole ranges of blocks, so the final estimates are identical
+bit for bit regardless of how many workers share the blocks.
+
+An estimator called directly starts its own process pool when it has more
+than one worker; inside ``shared_pool`` every estimator reuses one pool.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -24,11 +33,12 @@ _PMF = 2
 _COND_SUCCESS = 3
 _ARR_DEP = 4
 _MASK64 = (1 << 64) - 1
+_BLOCK = 256  # replications per Philox stream
 
 
-def _substream(seed: int, purpose: int, rep: int) -> np.random.Generator:
+def _block_stream(seed: int, purpose: int, block: int) -> np.random.Generator:
     key = np.array([seed & _MASK64, purpose], dtype=np.uint64)
-    counter = np.array([0, 0, 0, rep], dtype=np.uint64)
+    counter = np.array([0, 0, 0, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
@@ -38,19 +48,12 @@ def _substream(seed: int, purpose: int, rep: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class UavState:
-    position0: tuple[float, float]
-    is_mobile: bool
-    speed: float
-    angle: float  # 0 points toward the origin
-
-
-@dataclass(frozen=True)
 class NetworkRealization:
-    """One sampled constellation with its mobility marks.
+    """Sampled constellations with their mobility marks.
 
-    Backed by parallel arrays for vectorized SINR evaluation; ``uavs``
-    materializes the per-node record view.
+    Backed by parallel arrays for vectorized SINR evaluation.  A block of
+    replications concatenates their nodes; ``owner`` holds each node's
+    replication index, and ``None`` means a single replication.
     """
 
     x0: np.ndarray  # (n, 2) initial planar positions
@@ -60,22 +63,11 @@ class NetworkRealization:
     region_radius: float
     t_gap: float
     n_inner: int = 0  # leading nodes placed inside the footprint by conditioning
+    owner: np.ndarray | None = None  # (n,) replication of each node
 
     @property
     def n(self) -> int:
         return len(self.speeds)
-
-    @property
-    def uavs(self) -> list[UavState]:
-        return [
-            UavState(
-                position0=(float(x), float(y)),
-                is_mobile=bool(m),
-                speed=float(v),
-                angle=float(a),
-            )
-            for (x, y), m, v, a in zip(self.x0, self.is_mobile, self.speeds, self.angles)
-        ]
 
     def distances(self, at_time: str) -> np.ndarray:
         """Ground distances from the origin at instant "0" or "t"."""
@@ -90,18 +82,22 @@ class NetworkRealization:
         return np.where(self.is_mobile, moved, r0)
 
 
-def _mobility_marks(params: NetworkParams, speed: SpeedDistribution, n: int, rng):
-    is_mobile = rng.random(n) < params.p_mobile
-    speeds = speed.sample(rng, n)
-    angles = rng.uniform(0.0, 2.0 * math.pi, n)
-    return is_mobile, np.asarray(speeds, dtype=float), angles
-
-
 def _disk_positions(rng, n: int, r_min: float, r_max: float) -> np.ndarray:
     # uniform over the annulus r_min <= r <= r_max (disk when r_min = 0)
     radii = np.sqrt(r_min * r_min + (r_max * r_max - r_min * r_min) * rng.random(n))
     bearing = rng.uniform(0.0, 2.0 * math.pi, n)
     return np.column_stack((radii * np.cos(bearing), radii * np.sin(bearing)))
+
+
+def _with_marks(params, speed, t, rng, x0, owner, r_sim, n_inner=0) -> NetworkRealization:
+    n = len(owner)
+    is_mobile = rng.random(n) < params.p_mobile
+    speeds = np.asarray(speed.sample(rng, n), dtype=float)
+    angles = rng.uniform(0.0, 2.0 * math.pi, n)
+    return NetworkRealization(
+        x0=x0, is_mobile=is_mobile, speeds=speeds, angles=angles,
+        region_radius=r_sim, t_gap=t, n_inner=n_inner, owner=owner,
+    )
 
 
 def sample_network(
@@ -110,22 +106,22 @@ def sample_network(
     t: float,
     rng: np.random.Generator,
     region_radius: float | None = None,
+    *,
+    size: int = 1,
 ) -> NetworkRealization:
-    """Homogeneous constellation over a disk large enough to be exact.
+    """Homogeneous constellations over a disk large enough to be exact.
 
     Nodes beyond r_out + max_speed * t can neither interfere now nor reach
     the footprint by t, so truncating there changes no interference value.
+    ``size`` independent replications are drawn as one block.
     """
     r_sim = region_radius if region_radius is not None else (
         params.antenna.r_out + speed.support_max * t
     )
-    n = rng.poisson(params.lam * math.pi * r_sim * r_sim)
-    x0 = _disk_positions(rng, n, 0.0, r_sim)
-    is_mobile, speeds, angles = _mobility_marks(params, speed, n, rng)
-    return NetworkRealization(
-        x0=x0, is_mobile=is_mobile, speeds=speeds, angles=angles,
-        region_radius=r_sim, t_gap=t,
-    )
+    counts = rng.poisson(params.lam * math.pi * r_sim * r_sim, size)
+    x0 = _disk_positions(rng, int(counts.sum()), 0.0, r_sim)
+    owner = np.repeat(np.arange(size), counts)
+    return _with_marks(params, speed, t, rng, x0, owner, r_sim)
 
 
 def sample_conditioned(
@@ -134,26 +130,27 @@ def sample_conditioned(
     speed: SpeedDistribution,
     t: float,
     rng: np.random.Generator,
+    *,
+    size: int = 1,
 ) -> NetworkRealization:
-    """Constellation conditioned on exactly m nodes inside the footprint.
+    """Constellations conditioned on exactly m nodes inside the footprint.
 
-    The first m nodes are uniform in the footprint; the rest follow the
-    unconditioned process over the surrounding annulus.
+    Each replication has m nodes uniform in the footprint; the rest follow
+    the unconditioned process over the surrounding annulus.  The ``m * size``
+    inner nodes of a block of ``size`` replications come first.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     r_out = params.antenna.r_out
     r_sim = r_out + speed.support_max * t
-    inner = _disk_positions(rng, m, 0.0, r_out)
+    inner = _disk_positions(rng, m * size, 0.0, r_out)
     area = math.pi * (r_sim * r_sim - r_out * r_out)
-    n_outer = rng.poisson(params.lam * area) if area > 0 else 0
-    outer = _disk_positions(rng, n_outer, r_out, r_sim)
-    x0 = np.vstack((inner, outer))
-    is_mobile, speeds, angles = _mobility_marks(params, speed, m + n_outer, rng)
-    return NetworkRealization(
-        x0=x0, is_mobile=is_mobile, speeds=speeds, angles=angles,
-        region_radius=r_sim, t_gap=t, n_inner=m,
-    )
+    n_outer = rng.poisson(params.lam * area, size) if area > 0 else np.zeros(size, dtype=int)
+    outer = _disk_positions(rng, int(n_outer.sum()), r_out, r_sim)
+    reps = np.arange(size)
+    owner = np.concatenate((np.repeat(reps, m), np.repeat(reps, n_outer)))
+    return _with_marks(
+        params, speed, t, rng, np.vstack((inner, outer)), owner, r_sim, n_inner=m * size)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +204,33 @@ def sinr(
     return power / denom
 
 
+def _block_interference(block: NetworkRealization, params: NetworkParams, at_time: str,
+                        rng: np.random.Generator, size: int) -> np.ndarray:
+    """Interference of each replication of a block at the chosen instant.
+
+    Fading is i.i.d. and independent of the geometry, so it is drawn only
+    for the nodes with non-zero gain, in node order.
+    """
+    d = block.distances(at_time)
+    d2 = d * d
+    gains = params.antenna.gain_at_sq(d2)
+    active = np.flatnonzero(gains > 0.0)
+    fading = rng.gamma(params.fading.k, params.fading.omega, active.size)
+    path = (params.height * params.height + d2[active]) ** (-params.alpha / 2.0)
+    return np.bincount(block.owner[active], weights=fading * gains[active] * path,
+                       minlength=size)
+
+
+def _block_success(scenario: ValidatedScenario, interference_by_rep: np.ndarray,
+                   rng: np.random.Generator, thresholds) -> np.ndarray:
+    """Success indicators, one row per threshold, with fresh serving fading."""
+    p = scenario.params
+    serving = rng.gamma(p.fading.k, p.fading.omega, interference_by_rep.size)
+    signal = p.antenna.g_main * serving * p.height ** (-p.alpha)
+    thr = np.asarray(thresholds, dtype=float).reshape(-1, 1)
+    return signal >= thr * (interference_by_rep + p.noise)
+
+
 # ---------------------------------------------------------------------------
 # Replication engine
 # ---------------------------------------------------------------------------
@@ -232,24 +256,48 @@ def _mean_result(total: int, total_sq: int, n: int, seed: int) -> EstimatorResul
     return EstimatorResult(mean, math.sqrt(max(var, 0.0) / n), n, seed)
 
 
-def _run_chunk(kernel, args, seed, purpose, lo, hi, width):
+def _run_blocks(kernel, args, seed, purpose, lo, hi, reps, width):
     acc = np.zeros(width, dtype=np.int64)
-    for rep in range(lo, hi):
-        acc += kernel(_substream(seed, purpose, rep), *args)
+    for block in range(lo, hi):
+        size = min(_BLOCK, reps - block * _BLOCK)
+        acc += kernel(_block_stream(seed, purpose, block), size, *args)
     return acc
+
+
+_shared: ProcessPoolExecutor | None = None
+
+
+@contextlib.contextmanager
+def shared_pool(workers: int):
+    """Let every estimator inside the block reuse one pool of ``workers`` processes."""
+    global _shared
+    if workers <= 1:
+        yield
+        return
+    previous = _shared
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        _shared = pool
+        try:
+            yield
+        finally:
+            _shared = previous
 
 
 def _accumulate(kernel: Callable, args: tuple, reps: int, seed: int, purpose: int,
                 workers: int, width: int) -> np.ndarray:
-    if workers <= 1 or reps < 2 * workers:
-        return _run_chunk(kernel, args, seed, purpose, 0, reps, width)
-    bounds = np.linspace(0, reps, workers + 1, dtype=int)
+    blocks = -(-reps // _BLOCK)
+    chunks = min(workers, blocks)
+    if chunks <= 1:
+        return _run_blocks(kernel, args, seed, purpose, 0, blocks, reps, width)
+    bounds = np.linspace(0, blocks, chunks + 1, dtype=int)
     acc = np.zeros(width, dtype=np.int64)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with contextlib.ExitStack() as stack:
+        pool = _shared
+        if pool is None:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=chunks))
         futures = [
-            pool.submit(_run_chunk, kernel, args, seed, purpose, int(lo), int(hi), width)
+            pool.submit(_run_blocks, kernel, args, seed, purpose, int(lo), int(hi), reps, width)
             for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
         ]
         for fut in futures:
             acc += fut.result()
@@ -257,70 +305,51 @@ def _accumulate(kernel: Callable, args: tuple, reps: int, seed: int, purpose: in
 
 
 # ---------------------------------------------------------------------------
-# Kernels (module level so they pickle for the process pool)
+# Kernels: one block of replications each, module level so they pickle for
+# the process pool
 # ---------------------------------------------------------------------------
 
 
-def _two_instant_indicators(scenario: ValidatedScenario, rng, realization):
-    """(success_0, success_t) indicator pair with fresh fading everywhere."""
+def _joint_kernel(rng, size: int, scenario: ValidatedScenario) -> np.ndarray:
     p = scenario.params
-    k, omega = p.fading.k, p.fading.omega
-    n = realization.n
-    d0 = realization.distances("0")
-    dt = realization.distances("t")
-    fade0 = rng.gamma(k, omega, n)
-    fade_t = rng.gamma(k, omega, n)
-    serving0 = rng.gamma(k, omega)
-    serving_t = rng.gamma(k, omega)
-    h2 = p.height * p.height
-    i0 = float(np.sum(fade0 * p.antenna.gain_at_sq(d0 * d0) * (h2 + d0 * d0) ** (-p.alpha / 2.0)))
-    it = float(np.sum(fade_t * p.antenna.gain_at_sq(dt * dt) * (h2 + dt * dt) ** (-p.alpha / 2.0)))
-    signal0 = p.antenna.g_main * serving0 * p.height ** (-p.alpha)
-    signal_t = p.antenna.g_main * serving_t * p.height ** (-p.alpha)
-    thr = scenario.threshold
-    s0 = signal0 >= thr * (i0 + p.noise)
-    st = signal_t >= thr * (it + p.noise)
-    return s0, st
-
-
-def _joint_kernel(rng, scenario: ValidatedScenario) -> np.ndarray:
-    real = sample_network(scenario.params, scenario.speed, scenario.t_gap, rng)
-    s0, st = _two_instant_indicators(scenario, rng, real)
+    block = sample_network(p, scenario.speed, scenario.t_gap, rng, size=size)
+    i0 = _block_interference(block, p, "0", rng, size)
+    it = _block_interference(block, p, "t", rng, size)
+    (s0,) = _block_success(scenario, i0, rng, scenario.threshold)
+    (st,) = _block_success(scenario, it, rng, scenario.threshold)
     return np.array(
-        [s0 and st, s0, st, st and not s0, not s0], dtype=np.int64
+        [np.count_nonzero(s0 & st), np.count_nonzero(s0), np.count_nonzero(st),
+         np.count_nonzero(st & ~s0), np.count_nonzero(~s0)],
+        dtype=np.int64,
     )
 
 
-def _pmf_kernel(rng, scenario: ValidatedScenario, m: int, n_max: int) -> np.ndarray:
-    real = sample_conditioned(m, scenario.params, scenario.speed, scenario.t_gap, rng)
-    dt = real.distances("t")
-    count = int(np.sum(dt <= scenario.params.antenna.r_out))
-    hist = np.zeros(n_max + 2, dtype=np.int64)
-    hist[min(count, n_max + 1)] = 1
-    return hist
+def _inside_at_t(m: int, scenario: ValidatedScenario, rng, size: int):
+    block = sample_conditioned(m, scenario.params, scenario.speed, scenario.t_gap, rng, size=size)
+    return block, block.distances("t") <= scenario.params.antenna.r_out
 
 
-def _cond_success_kernel(rng, scenario: ValidatedScenario, m: int, thresholds: np.ndarray) -> np.ndarray:
+def _pmf_kernel(rng, size: int, scenario: ValidatedScenario, m: int, n_max: int) -> np.ndarray:
+    block, inside = _inside_at_t(m, scenario, rng, size)
+    counts = np.bincount(block.owner[inside], minlength=size)
+    return np.bincount(np.minimum(counts, n_max + 1), minlength=n_max + 2).astype(np.int64)
+
+
+def _cond_success_kernel(rng, size: int, scenario: ValidatedScenario, m: int,
+                         thresholds: np.ndarray) -> np.ndarray:
     p = scenario.params
-    real = sample_conditioned(m, p, scenario.speed, scenario.t_gap, rng)
-    dt = real.distances("t")
-    fade = rng.gamma(p.fading.k, p.fading.omega, real.n)
-    serving = rng.gamma(p.fading.k, p.fading.omega)
-    h2 = p.height * p.height
-    it = float(np.sum(fade * p.antenna.gain_at_sq(dt * dt) * (h2 + dt * dt) ** (-p.alpha / 2.0)))
-    signal = p.antenna.g_main * serving * p.height ** (-p.alpha)
-    return (signal >= thresholds * (it + p.noise)).astype(np.int64)
+    block = sample_conditioned(m, p, scenario.speed, scenario.t_gap, rng, size=size)
+    it = _block_interference(block, p, "t", rng, size)
+    return np.count_nonzero(_block_success(scenario, it, rng, thresholds), axis=1).astype(np.int64)
 
 
-def _arr_dep_kernel(rng, scenario: ValidatedScenario, m: int) -> np.ndarray:
-    p = scenario.params
-    real = sample_conditioned(m, p, scenario.speed, scenario.t_gap, rng)
-    dt = real.distances("t")
-    inside = dt <= p.antenna.r_out
-    departures = int(np.sum(~inside[:m]))
-    arrivals = int(np.sum(inside[m:]))
+def _arr_dep_kernel(rng, size: int, scenario: ValidatedScenario, m: int) -> np.ndarray:
+    block, inside = _inside_at_t(m, scenario, rng, size)
+    inner = np.arange(block.n) < block.n_inner
+    departures = np.bincount(block.owner[inner & ~inside], minlength=size)
+    arrivals = np.bincount(block.owner[~inner & inside], minlength=size)
     return np.array(
-        [departures, departures * departures, arrivals, arrivals * arrivals],
+        [departures.sum(), departures @ departures, arrivals.sum(), arrivals @ arrivals],
         dtype=np.int64,
     )
 

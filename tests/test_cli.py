@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from uavtc import simulate
 from uavtc.cli import emit_plotdata, main
 
 from helpers import BASELINE_CONFIG
@@ -115,6 +116,36 @@ def test_joint_success_columns(runner, config_path, tmp_path):
     joint, m0, mt, indep = (float(v) for v in rows[1][2:3] + rows[1][5:8])
     assert indep == pytest.approx(m0 * mt, rel=1e-12)
     assert joint <= min(m0, mt) + 1e-9
+
+
+def test_joint_success_marginals_are_stationary(runner, config_path, tmp_path):
+    out = tmp_path / "js"
+    result = runner.invoke(main, [
+        "joint-success", "--config", config_path, "--sweep-t", "1,5",
+        "--sweep-tdb", "-10,0", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    rows = read_csv(out / "results.csv")
+    header, body = rows[0], rows[1:]
+    m0, mt = header.index("p_marginal_0"), header.index("p_marginal_t")
+    assert len(body) == 4
+    for row in body:
+        assert row[mt] == row[m0]
+
+
+def test_run_starts_one_pool_for_the_grid(runner, config_path, tmp_path, monkeypatch):
+    started = []
+
+    class CountingPool(simulate.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
+    result = runner.invoke(main, [
+        "interferer-pmf", "--config", config_path, "--m", "3,9", "--sweep-t", "1,5",
+        "--workers", "2", "--out", str(tmp_path / "pmf")])
+    assert result.exit_code == 0, result.output
+    assert started == [2]
 
 
 def test_conditional_success_grid(runner, config_path, tmp_path):

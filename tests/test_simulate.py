@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from uavtc import simulate
 from uavtc.mobility import containment_cdf
 from uavtc.model import FixedSpeed
 from uavtc.simulate import (
@@ -57,6 +58,57 @@ def test_arrivals_departures_identical_across_worker_counts(base):
     serial = estimate_arrivals_departures(5, base, workers=1)
     parallel = estimate_arrivals_departures(5, base, workers=3)
     assert serial == parallel
+
+
+def _as_values(result):
+    """Every number an estimator returned, in a form that compares with ==."""
+    if hasattr(result, "probs"):  # InterfererPmf
+        return (result.m, result.t, tuple(result.probs.tolist()), result.tail_mass)
+    return result
+
+
+_ESTIMATORS = {
+    "joint": lambda sc, w: estimate_joint_success(sc, workers=w),
+    "pmf": lambda sc, w: estimate_conditional_pmf(6, sc, n_max=20, workers=w),
+    "cond_success": lambda sc, w: estimate_conditional_success(
+        6, sc, thresholds=[0.05, 0.1, 0.4], workers=w),
+    "arr_dep": lambda sc, w: estimate_arrivals_departures(6, sc, workers=w),
+}
+
+
+# 1000 is not a multiple of the 256-replication block and gives 4 blocks, so
+# 5 workers outnumber them; 100 is less than one block
+@pytest.mark.parametrize("reps", [1000, 100])
+@pytest.mark.parametrize("name", sorted(_ESTIMATORS))
+def test_identical_for_any_worker_count_at_block_edges(name, reps):
+    sc = baseline_scenario(replications=reps, t_gap=3.0)
+    estimate = _ESTIMATORS[name]
+    serial = _as_values(estimate(sc, 1))
+    for workers in (2, 3, 5):
+        assert _as_values(estimate(sc, workers)) == serial, f"workers={workers}"
+    assert _as_values(estimate(sc, 1)) == serial
+
+
+def test_shared_pool_is_reused_and_matches_per_call_pools(base, monkeypatch):
+    started = []
+
+    class CountingPool(simulate.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
+    sc = dataclasses.replace(base, replications=1000)
+    per_call = [_as_values(estimate(sc, 2)) for estimate in _ESTIMATORS.values()]
+    assert started == [2] * len(_ESTIMATORS)
+    started.clear()
+    with simulate.shared_pool(2):
+        shared = [_as_values(estimate(sc, 2)) for estimate in _ESTIMATORS.values()]
+    assert started == [2]
+    assert shared == per_call
+    with simulate.shared_pool(1):
+        assert _as_values(_ESTIMATORS["joint"](sc, 1)) == per_call[0]
+    assert started == [2]
 
 
 def test_seed_changes_the_stream(base):
@@ -281,3 +333,62 @@ def test_retx_none_when_no_failures():
     est = estimate_joint_success(sc)
     assert est.retx_given_fail is None
     assert est.joint.estimate == 1.0
+
+
+# ---------------------------------------------------------------------------
+# block sums against the scalar path
+# ---------------------------------------------------------------------------
+
+
+def _replication(block, i):
+    """Replication i of a block as a single-replication realization."""
+    mine = block.owner == i
+    return NetworkRealization(
+        x0=block.x0[mine], is_mobile=block.is_mobile[mine], speeds=block.speeds[mine],
+        angles=block.angles[mine], region_radius=block.region_radius, t_gap=block.t_gap,
+        n_inner=int(np.count_nonzero(mine[: block.n_inner])),
+    )
+
+
+@pytest.mark.parametrize("m", [None, 2])
+@pytest.mark.parametrize("at_time", ["0", "t"])
+def test_block_interference_and_sinr_match_scalar_path(m, at_time):
+    # a sparse network, so that the block holds replications with no node at
+    # all and replications whose nodes all lie outside the footprint; the
+    # trailing replication is empty for this stream, which guards minlength
+    sc = baseline_scenario(**{"lambda": 0.0004}, t_gap=1.0)
+    p, size = sc.params, 40
+    thresholds = [10.0 ** (db / 10.0) for db in (0, 10, 20, 30, 40)]
+    rng = np.random.Generator(np.random.Philox(key=[3, 0]))
+    if m is None:
+        block = sample_network(p, sc.speed, sc.t_gap, rng, size=size)
+    else:
+        block = sample_conditioned(m, p, sc.speed, sc.t_gap, rng, size=size)
+    replay = np.random.Generator(np.random.Philox())
+    replay.bit_generator.state = rng.bit_generator.state
+    batched = simulate._block_interference(block, p, at_time, rng, size)
+    success = simulate._block_success(sc, batched, rng, thresholds)
+
+    # the same draws, in the order the block kernels make them
+    d = block.distances(at_time)
+    active = p.antenna.gain_at_sq(d * d) > 0.0
+    fading = np.zeros(block.n)
+    fading[active] = replay.gamma(p.fading.k, p.fading.omega, np.count_nonzero(active))
+    serving = replay.gamma(p.fading.k, p.fading.omega, size)
+
+    counts = np.bincount(block.owner, minlength=size)
+    active_counts = np.bincount(block.owner[active], minlength=size)
+    if m is None:
+        assert counts[-1] == 0
+        assert np.any((counts > 0) & (active_counts == 0))
+    assert np.any(active_counts > 0)
+    assert success.any() and not success.all()
+    for i in range(size):
+        one, mine = _replication(block, i), block.owner == i
+        scalar = interference(one, p, at_time, fading=fading[mine])
+        if active_counts[i] == 0:
+            assert batched[i] == 0.0 and scalar == 0.0
+        else:
+            assert batched[i] == pytest.approx(scalar, rel=1e-12, abs=0.0)
+        value = sinr(one, p, at_time, serving_fading=serving[i], interferer_fading=fading[mine])
+        assert [value >= thr for thr in thresholds] == success[:, i].tolist()
