@@ -6,10 +6,11 @@ from one counter-based Philox stream keyed by (seed, estimator id) with the
 counter set to ``b``.  A block samples all of its replications at once: one
 Poisson call for the node counts, one concatenated array per node attribute,
 and ``NetworkRealization.owner`` naming each node's replication, so that
-per-replication sums are one ``np.bincount``.  Per-replication statistics are
-small non-negative integers accumulated by exact integer summation, and
-workers receive whole ranges of blocks, so the final estimates are identical
-bit for bit regardless of how many workers share the blocks.
+per-replication sums are one ``np.bincount``.  Only nodes inside the
+footprint at time 0 or t are drawn (``_footprint_block``), so a replication
+costs the same for any gap and speed law.  Per-replication statistics are
+small non-negative integers summed exactly, and workers receive whole ranges
+of blocks, so the estimates are identical bit for bit for any worker count.
 
 An estimator called directly starts its own process pool when it has more
 than one worker; inside ``shared_pool`` every estimator reuses one pool.
@@ -49,54 +50,65 @@ def _block_stream(seed: int, purpose: int, block: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class NetworkRealization:
-    """Sampled constellations with their mobility marks.
+    """Sampled interferers as ground distances at the two instants.
 
-    Backed by parallel arrays for vectorized SINR evaluation.  A block of
+    Only nodes inside the footprint at time 0 or at time t are kept; gain is
+    zero beyond ``r_out``, so no other node can interfere.  A block of
     replications concatenates their nodes; ``owner`` holds each node's
     replication index, and ``None`` means a single replication.
     """
 
-    x0: np.ndarray  # (n, 2) initial planar positions
-    is_mobile: np.ndarray  # (n,) bool
-    speeds: np.ndarray  # (n,)
-    angles: np.ndarray  # (n,)
-    region_radius: float
-    t_gap: float
+    r0: np.ndarray  # (n,) ground distance at time 0
+    rt: np.ndarray  # (n,) ground distance at time t
     n_inner: int = 0  # leading nodes placed inside the footprint by conditioning
     owner: np.ndarray | None = None  # (n,) replication of each node
 
     @property
     def n(self) -> int:
-        return len(self.speeds)
+        return len(self.r0)
 
     def distances(self, at_time: str) -> np.ndarray:
         """Ground distances from the origin at instant "0" or "t"."""
-        r0 = np.hypot(self.x0[:, 0], self.x0[:, 1])
         if at_time == "0":
-            return r0
-        if at_time != "t":
-            raise ValueError("at_time must be '0' or 't'")
-        if self.t_gap == 0.0 or not self.is_mobile.any():
-            return r0
-        moved = displaced_distance(r0, self.speeds, self.angles, self.t_gap)
-        return np.where(self.is_mobile, moved, r0)
+            return self.r0
+        if at_time == "t":
+            return self.rt
+        raise ValueError("at_time must be '0' or 't'")
 
 
-def _disk_positions(rng, n: int, r_min: float, r_max: float) -> np.ndarray:
-    # uniform over the annulus r_min <= r <= r_max (disk when r_min = 0)
-    radii = np.sqrt(r_min * r_min + (r_max * r_max - r_min * r_min) * rng.random(n))
-    bearing = rng.uniform(0.0, 2.0 * math.pi, n)
-    return np.column_stack((radii * np.cos(bearing), radii * np.sin(bearing)))
+def _footprint_radii(rng, n: int, r_out: float) -> np.ndarray:
+    return r_out * np.sqrt(rng.random(n))  # n points uniform in the footprint
 
 
-def _with_marks(params, speed, t, rng, x0, owner, r_sim, n_inner=0) -> NetworkRealization:
-    n = len(owner)
-    is_mobile = rng.random(n) < params.p_mobile
+def _moved(rng, r: np.ndarray, speed: SpeedDistribution, t: float) -> np.ndarray:
+    """Ground distances after one move each, with freshly drawn speed and direction."""
+    n = r.size
     speeds = np.asarray(speed.sample(rng, n), dtype=float)
-    angles = rng.uniform(0.0, 2.0 * math.pi, n)
+    return displaced_distance(r, speeds, rng.uniform(0.0, 2.0 * math.pi, n), t)
+
+
+def _footprint_block(params, speed, t, rng, r0, owner, size, n_inner=0) -> NetworkRealization:
+    """Move the time-0 footprint nodes ``r0`` forward and add the arrivals.
+
+    The pairs (x0, xt) of the mobile nodes form a Poisson process of
+    intensity lambda p dx0 K(dD) with an isotropic displacement kernel K, so
+    the pairs with xt in the footprint are a PPP(lambda p) on the footprint
+    displaced backward by -D ~ D.  Those starting outside the footprint are
+    the arrivals, independent of the nodes that start inside it.
+    """
+    r_out = params.antenna.r_out
+    mobile = rng.random(r0.size) < params.p_mobile
+    rt = r0.copy()
+    rt[mobile] = _moved(rng, r0[mobile], speed, t)
+    counts = rng.poisson(params.lam * params.p_mobile * math.pi * r_out * r_out, size)
+    arrived_t = _footprint_radii(rng, int(counts.sum()), r_out)
+    arrived_0 = _moved(rng, arrived_t, speed, t)
+    arrived = arrived_0 > r_out
     return NetworkRealization(
-        x0=x0, is_mobile=is_mobile, speeds=speeds, angles=angles,
-        region_radius=r_sim, t_gap=t, n_inner=n_inner, owner=owner,
+        r0=np.concatenate((r0, arrived_0[arrived])),
+        rt=np.concatenate((rt, arrived_t[arrived])),
+        n_inner=n_inner,
+        owner=np.concatenate((owner, np.repeat(np.arange(size), counts)[arrived])),
     )
 
 
@@ -105,23 +117,18 @@ def sample_network(
     speed: SpeedDistribution,
     t: float,
     rng: np.random.Generator,
-    region_radius: float | None = None,
     *,
     size: int = 1,
 ) -> NetworkRealization:
-    """Homogeneous constellations over a disk large enough to be exact.
+    """Homogeneous constellations, restricted exactly to the footprint nodes.
 
-    Nodes beyond r_out + max_speed * t can neither interfere now nor reach
-    the footprint by t, so truncating there changes no interference value.
-    ``size`` independent replications are drawn as one block.
+    Keeps every node inside the footprint at time 0 or at time t, and no
+    other; ``size`` independent replications are drawn as one block.
     """
-    r_sim = region_radius if region_radius is not None else (
-        params.antenna.r_out + speed.support_max * t
-    )
-    counts = rng.poisson(params.lam * math.pi * r_sim * r_sim, size)
-    x0 = _disk_positions(rng, int(counts.sum()), 0.0, r_sim)
-    owner = np.repeat(np.arange(size), counts)
-    return _with_marks(params, speed, t, rng, x0, owner, r_sim)
+    r_out = params.antenna.r_out
+    counts = rng.poisson(params.lam * math.pi * r_out * r_out, size)
+    r0 = _footprint_radii(rng, int(counts.sum()), r_out)
+    return _footprint_block(params, speed, t, rng, r0, np.repeat(np.arange(size), counts), size)
 
 
 def sample_conditioned(
@@ -133,24 +140,17 @@ def sample_conditioned(
     *,
     size: int = 1,
 ) -> NetworkRealization:
-    """Constellations conditioned on exactly m nodes inside the footprint.
+    """Constellations conditioned on exactly m nodes inside the footprint at time 0.
 
-    Each replication has m nodes uniform in the footprint; the rest follow
-    the unconditioned process over the surrounding annulus.  The ``m * size``
-    inner nodes of a block of ``size`` replications come first.
+    Each replication has m nodes uniform in the footprint, followed by the
+    unconditioned arrivals; the ``m * size`` inner nodes of a block of
+    ``size`` replications come first.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    r_out = params.antenna.r_out
-    r_sim = r_out + speed.support_max * t
-    inner = _disk_positions(rng, m * size, 0.0, r_out)
-    area = math.pi * (r_sim * r_sim - r_out * r_out)
-    n_outer = rng.poisson(params.lam * area, size) if area > 0 else np.zeros(size, dtype=int)
-    outer = _disk_positions(rng, int(n_outer.sum()), r_out, r_sim)
-    reps = np.arange(size)
-    owner = np.concatenate((np.repeat(reps, m), np.repeat(reps, n_outer)))
-    return _with_marks(
-        params, speed, t, rng, np.vstack((inner, outer)), owner, r_sim, n_inner=m * size)
+    r0 = _footprint_radii(rng, m * size, params.antenna.r_out)
+    owner = np.repeat(np.arange(size), m)
+    return _footprint_block(params, speed, t, rng, r0, owner, size, n_inner=m * size)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +177,8 @@ def interference(
         if fading_rng is None:
             raise ValueError("either fading_rng or fading must be supplied")
         fading = fading_rng.gamma(params.fading.k, params.fading.omega, realization.n)
-    # summing only active terms keeps the total bit-identical under any
-    # enlargement of the sampling region (extra nodes carry zero gain)
+    # summing only active terms keeps the total bit-identical whatever
+    # zero-gain nodes the realization also holds
     active = gains > 0.0
     path = (params.height * params.height + d2[active]) ** (-params.alpha / 2.0)
     return float(np.sum(np.asarray(fading)[active] * gains[active] * path))

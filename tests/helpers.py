@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the package's own quadrature and jet
 machinery: the joint-success oracle uses fixed-node Legendre-Gauss panels
 and plain scalar arithmetic, the pmf oracle builds the distribution as an
-explicit binomial/Poisson convolution, and the derivative checks use
-Richardson-extrapolated central finite differences of the scalar oracle.
+explicit binomial/Poisson convolution, the derivative checks use
+Richardson-extrapolated central finite differences of the scalar oracle, and
+the forward simulator moves planar points over a whole disk.
 """
 
 from __future__ import annotations
@@ -177,3 +178,40 @@ def richardson_mixed_partial(fn, i: int, j: int, h: float = 1e-2,
     coarse = _central_fd(fn, i, j, h, at)
     fine = _central_fd(fn, i, j, h / 2.0, at)
     return (4.0 * fine - coarse) / 3.0
+
+
+def forward_footprint_counts(lam: float, p_mobile: float, r_out: float, v_min: float,
+                             v_max: float, t: float, n_reps: int, rng: np.random.Generator,
+                             m: int | None = None) -> np.ndarray:
+    """Brute-force (count in the footprint at 0, count at t, stayers) per replication.
+
+    A forward simulation in the plane: a Poisson process of intensity lam on
+    the whole disk of radius r_out + v_max t, which holds every point that
+    can reach the footprint by t.  Each point is mobile with probability
+    p_mobile and moves by v t along a uniform direction, with v uniform on
+    [v_min, v_max] (a fixed speed when the two agree).  Given ``m``, the
+    footprint holds exactly m uniform points at time 0 and the Poisson
+    process covers only the annulus around it.  Returns an (n_reps, 3) array.
+    """
+    big = r_out + v_max * t
+    inner_r2 = 0.0 if m is None else r_out * r_out
+    out, chunk = [], 2000  # replications per pass, to bound memory
+    for start in range(0, n_reps, chunk):
+        size = min(chunk, n_reps - start)
+        counts = rng.poisson(lam * math.pi * (big * big - inner_r2), size)
+        rep = np.repeat(np.arange(size), counts)
+        radius = np.sqrt(inner_r2 + (big * big - inner_r2) * rng.random(rep.size))
+        if m is not None:
+            rep = np.concatenate((np.repeat(np.arange(size), m), rep))
+            radius = np.concatenate((r_out * np.sqrt(rng.random(m * size)), radius))
+        bearing = rng.uniform(0.0, 2.0 * math.pi, rep.size)
+        x, y = radius * np.cos(bearing), radius * np.sin(bearing)
+        step = np.where(rng.random(rep.size) < p_mobile,
+                        rng.uniform(v_min, v_max, rep.size) * t, 0.0)
+        heading = rng.uniform(0.0, 2.0 * math.pi, rep.size)
+        xt, yt = x + step * np.cos(heading), y + step * np.sin(heading)
+        in0 = x * x + y * y <= r_out * r_out
+        in_t = xt * xt + yt * yt <= r_out * r_out
+        out.append(np.column_stack([
+            np.bincount(rep[mask], minlength=size) for mask in (in0, in_t, in0 & in_t)]))
+    return np.concatenate(out)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from uavtc import simulate
+from uavtc import cli, simulate
 from uavtc.cli import emit_plotdata, main
 
 from helpers import BASELINE_CONFIG
@@ -130,6 +130,42 @@ def test_joint_success_marginals_are_stationary(runner, config_path, tmp_path):
     assert len(body) == 4
     for row in body:
         assert row[mt] == row[m0]
+
+
+def test_joint_success_runs_where_the_retry_is_undefined(runner, config_path, tmp_path):
+    # at -80 dB the first attempt almost never fails, so the retry success is
+    # undefined; joint-success does not print it and must still succeed
+    out = tmp_path / "js"
+    result = runner.invoke(main, [
+        "joint-success", "--config", config_path, "--sweep-t", "1",
+        "--sweep-tdb", "-80", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    header, row = read_csv(out / "results.csv")
+    values = dict(zip(header, row))
+    assert float(values["p_marginal_0"]) > 1.0 - 1e-12
+    assert values["p_marginal_t"] == values["p_marginal_0"]
+    assert float(values["p_joint_analytic"]) <= float(values["p_marginal_0"])
+
+
+def test_version_is_described_once_per_process(runner, config_path, tmp_path, monkeypatch):
+    calls = []
+    real_run = cli.subprocess.run
+
+    def counting_run(*args, **kwargs):
+        calls.append(args)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(cli.subprocess, "run", counting_run)
+    cli._version_string.cache_clear()
+    versions = []
+    for name in ("a", "b"):
+        result = runner.invoke(main, [
+            "interferer-pmf", "--config", config_path, "--m", "3", "--sweep-t", "1",
+            "--out", str(tmp_path / name)])
+        assert result.exit_code == 0, result.output
+        versions.append(json.loads((tmp_path / name / "summary.json").read_text())["version"])
+    assert len(calls) == 1
+    assert versions[0] == versions[1]
 
 
 def test_run_starts_one_pool_for_the_grid(runner, config_path, tmp_path, monkeypatch):

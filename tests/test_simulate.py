@@ -8,8 +8,8 @@ import pytest
 from scipy import stats
 
 from uavtc import simulate
-from uavtc.mobility import containment_cdf
-from uavtc.model import FixedSpeed
+from uavtc.mobility import containment_cdf, displaced_distance
+from uavtc.model import FixedSpeed, UniformSpeed
 from uavtc.simulate import (
     NetworkRealization,
     estimate_arrivals_departures,
@@ -22,7 +22,7 @@ from uavtc.simulate import (
     sinr,
 )
 
-from helpers import baseline_scenario
+from helpers import baseline_scenario, forward_footprint_counts
 
 
 @pytest.fixture(scope="module")
@@ -128,64 +128,135 @@ def test_rerun_is_bit_identical(base):
 # ---------------------------------------------------------------------------
 
 
+_SPEEDS = {"fixed": FixedSpeed(10.0), "uniform": UniformSpeed(5.0, 15.0)}
+
+
+def _footprint_counts(block, r_out, size):
+    """(count in the footprint at 0, count at t, stayers) per replication."""
+    in0, in_t = block.r0 <= r_out, block.rt <= r_out
+    return np.column_stack([
+        np.bincount(block.owner[mask], minlength=size) for mask in (in0, in_t, in0 & in_t)])
+
+
+def _homogeneity_p_value(a, b):
+    """Chi-square p-value that two samples of (rows of) integers share one law."""
+    _, codes = np.unique(np.vstack((a, b)), axis=0, return_inverse=True)
+    codes = codes.reshape(-1)
+    table = np.vstack((np.bincount(codes[: len(a)], minlength=codes.max() + 1),
+                       np.bincount(codes[len(a):], minlength=codes.max() + 1)))
+    # pool sparse cells to keep the chi-square approximation valid
+    sparse = table.sum(axis=0) < 10
+    table = np.column_stack((table[:, ~sparse], table[:, sparse].sum(axis=1)))
+    table = table[:, table.sum(axis=0) > 0]
+    return stats.chi2_contingency(table, correction=False).pvalue
+
+
+@pytest.mark.parametrize("speed_name", sorted(_SPEEDS))
+@pytest.mark.parametrize("t", [1.0, 5.0])
+def test_footprint_sampler_matches_forward_oracle(base, speed_name, t):
+    # the joint law of (count in F at 0, count in F at t, stayers) against a
+    # whole-disk forward simulation that shares no code with the sampler
+    params, speed, size = base.params, _SPEEDS[speed_name], 20_000
+    r_out = params.antenna.r_out
+    block = sample_network(params, speed, t, np.random.default_rng(11), size=size)
+    ours = _footprint_counts(block, r_out, size)
+    oracle = forward_footprint_counts(
+        params.lam, params.p_mobile, r_out, speed.support_min, speed.support_max, t, size,
+        np.random.default_rng(12))
+    assert _homogeneity_p_value(ours, oracle) > 0.001
+
+
+@pytest.mark.parametrize("m", [0, 5])
+@pytest.mark.parametrize("speed_name", sorted(_SPEEDS))
+def test_conditioned_count_matches_forward_oracle(base, speed_name, m):
+    params, speed, size, t = base.params, _SPEEDS[speed_name], 20_000, 3.0
+    r_out = params.antenna.r_out
+    block = sample_conditioned(m, params, speed, t, np.random.default_rng(13), size=size)
+    ours = _footprint_counts(block, r_out, size)
+    assert np.all(ours[:, 0] == m)
+    oracle = forward_footprint_counts(
+        params.lam, params.p_mobile, r_out, speed.support_min, speed.support_max, t, size,
+        np.random.default_rng(14), m=m)
+    assert np.all(oracle[:, 0] == m)
+    assert _homogeneity_p_value(ours[:, 1:2], oracle[:, 1:2]) > 0.001
+
+
+@pytest.mark.parametrize("t", [1.0, 20.0])
+@pytest.mark.parametrize("m", [None, 5])
+def test_nodes_per_replication_do_not_grow_with_the_gap(base, m, t):
+    # a replication draws the footprint at time 0 and mobile candidates in
+    # the footprint at time t, whatever the gap: a whole disk of radius
+    # r_out + v t would hold 19 nodes at t = 1 and 795 at t = 20
+    params, size = base.params, 20 * 256
+    area_count = params.lam * math.pi * params.antenna.r_out ** 2
+    rng = np.random.Generator(np.random.Philox(key=[5, 0]))
+    if m is None:
+        block = sample_network(params, base.speed, t, rng, size=size)
+        bound = area_count * (1.0 + params.p_mobile)
+    else:
+        block = sample_conditioned(m, params, base.speed, t, rng, size=size)
+        bound = m + area_count * params.p_mobile
+    assert block.n / size <= bound + 4.0 * math.sqrt(bound / size)
+
+
 def test_region_truncation_is_exact(base):
-    # nodes beyond the default region have zero gain at both instants, so
-    # enlarging the sampling disk must not change any interference value
-    params, speed, t = base.params, base.speed, base.t_gap
-    default_radius = params.antenna.r_out + speed.support_max * t
-    for seed in range(100):
-        rng = np.random.default_rng(seed)
-        wide = sample_network(params, speed, t, rng, region_radius=2.0 * default_radius)
-        keep = np.hypot(wide.x0[:, 0], wide.x0[:, 1]) <= default_radius
-        narrow = NetworkRealization(
-            x0=wide.x0[keep],
-            is_mobile=wide.is_mobile[keep],
-            speeds=wide.speeds[keep],
-            angles=wide.angles[keep],
-            region_radius=default_radius,
-            t_gap=wide.t_gap,
-        )
-        fading = np.ones(wide.n)
-        for at_time in ("0", "t"):
-            full = interference(wide, params, at_time, fading=fading)
-            cut = interference(narrow, params, at_time, fading=fading[keep])
-            assert full == cut
+    # the sampler keeps exactly the nodes that can interfere at either
+    # instant: each lies in the footprint at time 0 or at t, and an arrival
+    # starts beyond r_out but no farther than one move can carry it
+    r_out = base.params.antenna.r_out
+    for i, (speed, t) in enumerate(
+            [(_SPEEDS["fixed"], 1.0), (_SPEEDS["uniform"], 5.0), (_SPEEDS["fixed"], 0.0)]):
+        for m in (None, 4):
+            rng = np.random.default_rng(100 + i)
+            if m is None:
+                block = sample_network(base.params, speed, t, rng, size=500)
+            else:
+                block = sample_conditioned(m, base.params, speed, t, rng, size=500)
+            in0, in_t = block.r0 <= r_out, block.rt <= r_out
+            assert np.all(in0 | in_t)
+            arrivals = ~in0
+            assert np.all(block.r0[arrivals] <= r_out + speed.support_max * t + 1e-9)
+            assert np.all(np.abs(block.rt - block.r0) <= speed.support_max * t + 1e-9)
+            assert arrivals.any() == (t > 0)
+            if m is not None:
+                assert np.array_equal(np.flatnonzero(in0), np.arange(block.n_inner))
 
 
 def test_unconditional_count_is_poisson(base):
-    params, speed = base.params, base.speed
+    # the footprint count is Poisson at time 0 and, by stationarity, at t
+    params = base.params
     r_out = params.antenna.r_out
     n_samples = 100_000
-    rng = np.random.default_rng(42)
-    counts = np.empty(n_samples, dtype=np.int64)
-    for i in range(n_samples):
-        real = sample_network(params, speed, 0.0, rng, region_radius=r_out)
-        counts[i] = real.n
+    block = sample_network(params, _SPEEDS["uniform"], 3.0, np.random.default_rng(42),
+                           size=n_samples)
     mean = params.lam * math.pi * r_out**2
     hi = int(stats.poisson.ppf(0.9999, mean)) + 1
-    observed = np.bincount(np.minimum(counts, hi), minlength=hi + 1)
     expected = stats.poisson.pmf(np.arange(hi + 1), mean)
     expected[hi] = 1.0 - expected[:hi].sum()
     expected *= n_samples
-    # merge sparse bins to keep the chi-square approximation valid
-    keep = expected >= 5.0
-    obs, exp = observed[keep].astype(float), expected[keep]
-    if (~keep).any():
-        obs = np.append(obs, observed[~keep].sum())
-        exp = np.append(exp, expected[~keep].sum())
-    _, p_value = stats.chisquare(obs, exp, sum_check=False)
-    assert p_value > 0.001
+    for counts in _footprint_counts(block, r_out, n_samples)[:, :2].T:
+        observed = np.bincount(np.minimum(counts, hi), minlength=hi + 1)
+        # merge sparse bins to keep the chi-square approximation valid
+        keep = expected >= 5.0
+        obs, exp = observed[keep].astype(float), expected[keep]
+        if (~keep).any():
+            obs = np.append(obs, observed[~keep].sum())
+            exp = np.append(exp, expected[~keep].sum())
+        _, p_value = stats.chisquare(obs, exp, sum_check=False)
+        assert p_value > 0.001
 
 
 def test_conditioned_sampling_shapes(base):
     rng = np.random.default_rng(3)
-    m = 7
-    real = sample_conditioned(m, base.params, base.speed, base.t_gap, rng)
-    r0 = np.hypot(real.x0[:, 0], real.x0[:, 1])
-    assert real.n_inner == m
-    assert np.all(r0[:m] <= base.params.antenna.r_out)
-    assert np.all(r0[m:] > base.params.antenna.r_out)
-    assert np.all(r0 <= real.region_radius + 1e-9)
+    m, t = 7, base.t_gap
+    r_out = base.params.antenna.r_out
+    real = sample_conditioned(m, base.params, base.speed, t, rng, size=50)
+    assert real.n_inner == m * 50
+    assert np.array_equal(real.owner[: real.n_inner], np.repeat(np.arange(50), m))
+    assert np.all(real.r0[: real.n_inner] <= r_out)
+    assert np.all(real.r0[real.n_inner:] > r_out)
+    assert np.all(real.rt[real.n_inner:] <= r_out)
+    assert np.all(real.r0 <= r_out + base.speed.support_max * t + 1e-9)
 
 
 def test_conditioned_inner_count_statistics(base):
@@ -194,36 +265,22 @@ def test_conditioned_inner_count_statistics(base):
     r2 = []
     for _ in range(2000):
         real = sample_conditioned(4, base.params, base.speed, 1.0, rng)
-        r2.extend(np.hypot(real.x0[:4, 0], real.x0[:4, 1]) ** 2)
+        r2.extend(real.r0[:4] ** 2)
     expected = base.params.antenna.r_out**2 / 2.0
     assert np.mean(r2) == pytest.approx(expected, rel=0.03)
 
 
 def test_mobility_containment_frequency(base):
-    params, speed, t = base.params, base.speed, 1.0
+    # the marks the sampler draws move a node from x_start into the
+    # footprint with the containment probability
+    r_out, t, x_start, n = base.params.antenna.r_out, 1.0, 20.0, 20_000
     rng = np.random.default_rng(5)
-    inside = total = 0
-    x_start = 20.0
-    for _ in range(2000):
-        real = sample_network(params, speed, t, rng)
-        if real.n == 0:
-            continue
-        # re-anchor the first node to a fixed start radius, keep its marks
-        scale = x_start / np.hypot(real.x0[0, 0], real.x0[0, 1])
-        anchored = NetworkRealization(
-            x0=real.x0[:1] * scale,
-            is_mobile=np.array([True]),
-            speeds=real.speeds[:1],
-            angles=real.angles[:1],
-            region_radius=real.region_radius,
-            t_gap=t,
-        )
-        d_t = anchored.distances("t")[0]
-        inside += d_t <= params.antenna.r_out
-        total += 1
-    expected = containment_cdf(params.antenna.r_out, x_start, speed, t)
-    se = math.sqrt(expected * (1.0 - expected) / total)
-    assert inside / total == pytest.approx(expected, abs=4.0 * se)
+    for speed in _SPEEDS.values():
+        moved = simulate._moved(rng, np.full(n, x_start), speed, t)
+        freq = float(np.mean(moved <= r_out))
+        expected = containment_cdf(r_out, x_start, speed, t)
+        se = math.sqrt(expected * (1.0 - expected) / n)
+        assert freq == pytest.approx(expected, abs=4.0 * se)
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +289,11 @@ def test_mobility_containment_frequency(base):
 
 
 def _single_node_realization(x, is_mobile=False, speed=0.0, angle=0.0, t=1.0):
-    return NetworkRealization(
-        x0=np.array([[x, 0.0]]),
-        is_mobile=np.array([is_mobile]),
-        speeds=np.array([speed]),
-        angles=np.array([angle]),
-        region_radius=100.0,
-        t_gap=t,
-    )
+    moved = displaced_distance(x, speed, angle, t) if is_mobile else x
+    return NetworkRealization(r0=np.array([x]), rt=np.array([moved]))
+
+
+_EMPTY = NetworkRealization(r0=np.empty(0), rt=np.empty(0))
 
 
 def test_interference_hand_value(base):
@@ -268,10 +322,7 @@ def test_interference_moves_with_the_node(base):
 
 
 def test_sinr_no_interferer_value(base):
-    empty = NetworkRealization(
-        x0=np.empty((0, 2)), is_mobile=np.empty(0, bool), speeds=np.empty(0),
-        angles=np.empty(0), region_radius=35.0, t_gap=1.0)
-    got = sinr(empty, base.params, "0", serving_fading=1.0,
+    got = sinr(_EMPTY, base.params, "0", serving_fading=1.0,
                interferer_fading=np.empty(0))
     # signal 2 * 50^-4 over noise 1e-10
     assert got == pytest.approx(3200.0, rel=1e-12)
@@ -279,10 +330,7 @@ def test_sinr_no_interferer_value(base):
 
 def test_sinr_infinite_when_noise_free():
     sc = baseline_scenario(noise=0.0)
-    empty = NetworkRealization(
-        x0=np.empty((0, 2)), is_mobile=np.empty(0, bool), speeds=np.empty(0),
-        angles=np.empty(0), region_radius=35.0, t_gap=1.0)
-    got = sinr(empty, sc.params, "0", serving_fading=1.0,
+    got = sinr(_EMPTY, sc.params, "0", serving_fading=1.0,
                interferer_fading=np.empty(0))
     assert math.isinf(got)
 
@@ -344,8 +392,7 @@ def _replication(block, i):
     """Replication i of a block as a single-replication realization."""
     mine = block.owner == i
     return NetworkRealization(
-        x0=block.x0[mine], is_mobile=block.is_mobile[mine], speeds=block.speeds[mine],
-        angles=block.angles[mine], region_radius=block.region_radius, t_gap=block.t_gap,
+        r0=block.r0[mine], rt=block.rt[mine],
         n_inner=int(np.count_nonzero(mine[: block.n_inner])),
     )
 
@@ -354,12 +401,13 @@ def _replication(block, i):
 @pytest.mark.parametrize("at_time", ["0", "t"])
 def test_block_interference_and_sinr_match_scalar_path(m, at_time):
     # a sparse network, so that the block holds replications with no node at
-    # all and replications whose nodes all lie outside the footprint; the
-    # trailing replication is empty for this stream, which guards minlength
+    # all and replications whose nodes all lie outside the footprint at the
+    # chosen instant (arrivals at "0", departures at "t"); the trailing
+    # replication is empty for this stream, which guards minlength
     sc = baseline_scenario(**{"lambda": 0.0004}, t_gap=1.0)
     p, size = sc.params, 40
     thresholds = [10.0 ** (db / 10.0) for db in (0, 10, 20, 30, 40)]
-    rng = np.random.Generator(np.random.Philox(key=[3, 0]))
+    rng = np.random.Generator(np.random.Philox(key=[4, 0]))
     if m is None:
         block = sample_network(p, sc.speed, sc.t_gap, rng, size=size)
     else:
