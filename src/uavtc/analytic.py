@@ -59,8 +59,7 @@ from .numerics import (
     Jet2,
     QuadratureSpec,
     falling_factorial_log,
-    integrate_detailed,
-    integrate_jet_detailed,
+    integrate_array_detailed,
     jet_add,
     jet_const,
     jet_exp,
@@ -73,7 +72,8 @@ from .numerics import (
 # Bound here only because perfbench/spans.py patches them by these names;
 # ROADMAP direction 4 moves that instrumentation into the library.
 from .mobility import containment_cdf  # noqa: F401
-from .numerics import integrate_jet, jet_powneg  # noqa: F401
+from .numerics import (  # noqa: F401
+    integrate_detailed, integrate_jet, integrate_jet_detailed, jet_powneg)
 
 log = logging.getLogger(__name__)
 
@@ -124,12 +124,19 @@ class InterfererPmf:
         return float(np.arange(len(self.probs)) @ self.probs)
 
 
-def _lens_fraction(d: float, r: float) -> float:
-    """Share of a disc of radius r that its copy shifted by d still covers."""
-    u = d / (2.0 * r)
-    if u >= 1.0:
-        return 0.0
-    return (2.0 / math.pi) * (math.acos(u) - u * math.sqrt(1.0 - u * u))
+def _lens_fraction(d, r: float):
+    """Share of a disc of radius r that its copy shifted by d still covers.
+
+    ``d`` may be an array of shifts.
+    """
+    u = np.minimum(np.asarray(d) / (2.0 * r), 1.0)
+    return (2.0 / math.pi) * (np.arccos(u) - u * np.sqrt(1.0 - u * u))
+
+
+def _arrival_mean(params: NetworkParams, stay: float) -> float:
+    """Mean arrival count lambda * p * pi * r^2 * (1 - stay), by the displacement theorem."""
+    r_out = params.antenna.r_out
+    return params.lam * params.p_mobile * math.pi * r_out * r_out * (1.0 - stay)
 
 
 def footprint_ingress_integral(params: NetworkParams, speed: SpeedDistribution, t: float) -> float:
@@ -141,15 +148,15 @@ def footprint_ingress_integral(params: NetworkParams, speed: SpeedDistribution, 
     if t == 0 or speed.support_max * t == 0:
         return 1.0
     if speed.atom is not None:
-        return _lens_fraction(speed.atom * t, r_out)
-    value, _ = integrate_detailed(
+        return float(_lens_fraction(speed.atom * t, r_out))
+    value, _ = integrate_array_detailed(
         lambda v: speed.pdf(v) * _lens_fraction(v * t, r_out),
         speed.support_min,
         speed.support_max,
         SPEC,
         points=(*speed.pdf_breakpoints, 2.0 * r_out / t),  # L has a kink at d = 2r
     )
-    return min(max(value, 0.0), 1.0)
+    return min(max(float(value), 0.0), 1.0)
 
 
 def footprint_egress_integral(params: NetworkParams, speed: SpeedDistribution, t: float) -> float:
@@ -158,11 +165,9 @@ def footprint_egress_integral(params: NetworkParams, speed: SpeedDistribution, t
     By stationarity this equals the mean number of mobile nodes of a
     full-intensity footprint that leave it.
     """
-    r_out = params.antenna.r_out
     if params.lam == 0.0 or params.p_mobile == 0.0 or speed.support_max * t == 0.0:
         return 0.0
-    stay = footprint_ingress_integral(params, speed, t)
-    return params.lam * params.p_mobile * math.pi * r_out * r_out * (1.0 - stay)
+    return _arrival_mean(params, footprint_ingress_integral(params, speed, t))
 
 
 def mean_departures(m: int, params: NetworkParams, speed: SpeedDistribution, t: float) -> float:
@@ -203,7 +208,7 @@ def conditional_interferer_pmf(
     if m < 0:
         raise ValueError(f"m must be a non-negative integer, got {m!r}")
     stay_in = footprint_ingress_integral(params, speed, t)
-    arrivals = footprint_egress_integral(params, speed, t)
+    arrivals = _arrival_mean(params, stay_in)
     p = params.p_mobile
     depart_prob = p * (1.0 - stay_in)  # per initial node
     survive_prob = p * stay_in + (1.0 - p)
@@ -280,19 +285,21 @@ def _integrate_mapped(f, a: float, b: float, points) -> tuple[np.ndarray, float]
     from u in [i, i + 1] through x = lo + half * (1 - cos(pi * (u - i))).
     The map clusters nodes at both ends of every segment, where arc lengths
     and lens areas behave like square roots or 3/2 powers; in u they are
-    smooth, so one or two Kronrod passes per segment suffice.
+    smooth, so one or two Kronrod passes per segment suffice.  ``f`` takes
+    an array of x and returns values with the node axis first.
     """
-    edges = sorted({a, b, *(p for p in points if a < p < b)})
+    edges = np.array(sorted({a, b, *(p for p in points if a < p < b)}), dtype=float)
     n = len(edges) - 1
 
-    def mapped(u: float) -> Jet2:
-        i = min(int(u), n - 1)
+    def mapped(u: np.ndarray) -> np.ndarray:
+        i = np.minimum(u.astype(int), n - 1)
         half = 0.5 * (edges[i + 1] - edges[i])
         c = math.pi * (u - i)
-        return Jet2(f(edges[i] + half * (1.0 - math.cos(c))) * (half * math.pi * math.sin(c)))
+        values = f(edges[i] + half * (1.0 - np.cos(c)))
+        jacobian = half * math.pi * np.sin(c)
+        return values * jacobian.reshape(-1, *(1,) * (values.ndim - 1))
 
-    total, err = integrate_jet_detailed(mapped, 0.0, float(n), SPEC, points=range(1, n))
-    return total.coeffs, err
+    return integrate_array_detailed(mapped, 0.0, float(n), SPEC, points=range(1, n))
 
 
 class _Exponent:
@@ -330,32 +337,38 @@ class _Exponent:
         for r in (ant.r_in, ant.r_out):
             points.update((abs(r - vt), r + vt))
 
-        def bracket(x: float) -> np.ndarray:
+        def bracket(x: np.ndarray) -> np.ndarray:
             # direction angles in [0, pi], split where the moved node
-            # crosses a gain boundary
-            cuts = [0.0, math.pi]
-            if x * vt > 0.0:
+            # crosses a gain boundary; one row of cuts per node, padded
+            # with pi (zero-length, zero-weight panels)
+            cuts = [np.zeros_like(x), np.full_like(x, math.pi)]
+            if vt > 0.0:
                 for r in (ant.r_in, ant.r_out):
-                    if abs(x - vt) < r < x + vt:
-                        cuts.append(math.acos((x * x + vt * vt - r * r) / (2.0 * x * vt)))
+                    crosses = (abs(x - vt) < r) & (r < x + vt)
+                    cosine = np.clip((x * x + vt * vt - r * r) / (2.0 * x * vt), -1.0, 1.0)
+                    cuts.append(np.where(crosses, np.arccos(cosine), math.pi))
                 # the path loss is singular at phi = +-i*pole, close to the
                 # real axis when nodes fly low; panels doubling in length
                 # from phi = 0 each stay as far from it as they are long
-                pole = math.acosh(1.0 + (self.h2 + (x - vt) ** 2) / (2.0 * x * vt))
-                while pole < math.pi:
-                    cuts.append(pole)
-                    pole *= 2.0
+                pole = np.arccosh(1.0 + (self.h2 + (x - vt) ** 2) / (2.0 * x * vt))
+                while (pole < math.pi).any():
+                    cuts.append(np.where(pole < math.pi, pole, math.pi))
+                    pole = 2.0 * pole
             nodes, weights = _direction_rule()
-            cuts = np.sort(cuts)
-            half = 0.5 * np.diff(cuts)[:, None]
-            phi = (cuts[:-1, None] + half * (1.0 + nodes)).ravel()
-            weights = (half * weights).ravel() / math.pi
-            d2 = np.concatenate(([x * x], x * x + vt * vt - 2.0 * x * vt * np.cos(phi)))
-            terms = self.series(d2)
-            a = terms[0] if self.s1_active else self.e0
-            b = p * (weights @ terms[1:]) + (1.0 - p) * terms[0] if self.s2_active else self.e0
-            out = -x * np.outer(a, b)
-            out[0, 0] += x
+            cuts = np.sort(np.stack(cuts, axis=1), axis=1)
+            half = 0.5 * np.diff(cuts, axis=1)[:, :, None]
+            phi = (cuts[:, :-1, None] + half * (1.0 + nodes)).reshape(len(x), -1)
+            weights = (half * weights).reshape(len(x), -1) / math.pi
+            x2 = (x * x)[:, None]
+            d2 = np.concatenate((x2, x2 + vt * vt - 2.0 * x[:, None] * vt * np.cos(phi)), axis=1)
+            terms = self.series(d2.ravel()).reshape(*d2.shape, self.k)
+            a = terms[:, 0] if self.s1_active else self.e0
+            if self.s2_active:
+                b = p * np.einsum("nm,nmk->nk", weights, terms[:, 1:]) + (1.0 - p) * terms[:, 0]
+            else:
+                b = self.e0
+            out = -x[:, None, None] * (a[..., :, None] * b[..., None, :])
+            out[:, 0, 0] += x
             return out
 
         raw, err = _integrate_mapped(bracket, 0.0, ant.r_out + vt, points)
@@ -376,11 +389,14 @@ def _exponent_jet_detailed(params, speed, t, threshold, s1_active, s2_active):
     # E is linear in the speed law: average the fixed-speed exponent over v
     worst_inner = 0.0
 
-    def at_speed(v: float) -> np.ndarray:
+    def at_speed(vs: np.ndarray) -> np.ndarray:
         nonlocal worst_inner
-        coeffs, inner = ctx.at_distance(v * t)
-        worst_inner = max(worst_inner, inner)
-        return speed.pdf(v) * coeffs
+        out = []
+        for v in vs:  # each node is one radial integral
+            coeffs, inner = ctx.at_distance(v * t)
+            worst_inner = max(worst_inner, inner)
+            out.append(speed.pdf(v) * coeffs)
+        return np.stack(out)
 
     # E is smooth in v except where a footprint circle and a displaced one
     # become tangent, and at the breakpoints of the density

@@ -169,15 +169,26 @@ def _rows_retransmission(spec: ExperimentSpec):
     return rows
 
 
+def _analytic_success(sc: ValidatedScenario, t: float, threshold: float):
+    """(joint, marginal, retry) success; the retry is None where it is undefined.
+
+    The marginal is the time-0 one, which equals the time-t one by
+    stationarity, and the joint is clamped to it.  The retry success given a
+    first failure is undefined once that failure has vanishing probability.
+    """
+    p_m = analytic.marginal_success(sc.params, sc.speed, t, threshold, "time0")
+    p_joint = min(analytic.joint_success(sc.params, sc.speed, t, threshold), p_m)
+    if p_m >= 1.0 - 1e-12:
+        return p_joint, p_m, None
+    return p_joint, p_m, min(max((p_m - p_joint) / (1.0 - p_m), 0.0), 1.0)
+
+
 def _rows_joint_success(spec: ExperimentSpec):
     rows = []
     sc = spec.scenario
     for t in spec.sweep_t:
         for db in spec.sweep_tdb:
-            threshold = db_to_linear(db)
-            # the time-t marginal equals the time-0 one by stationarity
-            p_m = analytic.marginal_success(sc.params, sc.speed, t, threshold, "time0")
-            p_joint = min(analytic.joint_success(sc.params, sc.speed, t, threshold), p_m)
+            p_joint, p_m, _ = _analytic_success(sc, t, db_to_linear(db))
             est = simulate.estimate_joint_success(
                 _with(sc, t=t, threshold_db=db), workers=spec.workers
             )
@@ -189,7 +200,7 @@ def _rows_joint_success(spec: ExperimentSpec):
 
 
 def _z_or_none(analytic_value, est):
-    if est is None or est.std_error == 0.0:
+    if analytic_value is None or est is None or est.std_error == 0.0:
         return None
     return (est.estimate - analytic_value) / est.std_error
 
@@ -199,15 +210,15 @@ def _rows_compare(spec: ExperimentSpec):
     sc = spec.scenario
     for t in spec.sweep_t:
         for db in spec.sweep_tdb:
-            report = analytic.retransmission_report(sc.params, sc.speed, t, db_to_linear(db))
+            p_joint, p_m, retx = _analytic_success(sc, t, db_to_linear(db))
             est = simulate.estimate_joint_success(
                 _with(sc, t=t, threshold_db=db), workers=spec.workers
             )
             pairs = [
-                ("joint", report.p_joint, est.joint),
-                ("marginal_0", report.p_marginal_0, est.marginal_0),
-                ("marginal_t", report.p_marginal_t, est.marginal_t),
-                ("retx_given_fail", report.p_retx_given_fail, est.retx_given_fail),
+                ("joint", p_joint, est.joint),
+                ("marginal_0", p_m, est.marginal_0),
+                ("marginal_t", p_m, est.marginal_t),
+                ("retx_given_fail", retx, est.retx_given_fail),
             ]
             log.info("compare t=%g T=%gdB", t, db)
             for name, a_val, e in pairs:

@@ -67,7 +67,7 @@ class SpeedDistribution(abc.ABC):
 
     @abc.abstractmethod
     def pdf(self, v: float) -> float:
-        ...
+        """Density at v; an array of speeds gives an array of densities."""
 
     @property
     @abc.abstractmethod
@@ -146,9 +146,10 @@ class UniformSpeed(SpeedDistribution):
         return (v - self.v_min) / (self.v_max - self.v_min)
 
     def pdf(self, v: float) -> float:
-        if self.v_min <= v <= self.v_max:
-            return 1.0 / (self.v_max - self.v_min)
-        return 0.0
+        speeds = np.asarray(v)
+        inside = (self.v_min <= speeds) & (speeds <= self.v_max)
+        density = np.where(inside, 1.0 / (self.v_max - self.v_min), 0.0)
+        return density if speeds.ndim else float(density)
 
     @property
     def support_min(self) -> float:
@@ -215,7 +216,8 @@ class TabulatedSpeed(SpeedDistribution):
         return float(self._cum[i] + f0 * dv + 0.5 * slope * dv * dv)
 
     def pdf(self, v: float) -> float:
-        return float(np.interp(v, self._speeds, self._dens, left=0.0, right=0.0))
+        density = np.interp(v, self._speeds, self._dens, left=0.0, right=0.0)
+        return density if np.ndim(v) else float(density)
 
     @property
     def support_min(self) -> float:

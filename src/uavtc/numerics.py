@@ -10,8 +10,13 @@ coefficients of its exponent directly and uses jets for the final
 exponential.
 
 The quadrature is a 15-point Kronrod rule with embedded 7-point Gauss rule,
-refined by bisecting the segment with the largest error estimate.  Integrands
-may return floats or jets; jet-valued integrals converge coefficient-wise.
+refined by bisecting the segment with the largest error estimate.  An
+integrand of ``integrate_array_detailed`` is called once per pass with the
+array of its 15 nodes and returns the values with the node axis first, so an
+array of any shape can be integrated component-wise.  ``integrate``,
+``integrate_detailed`` (float integrands) and ``integrate_jet``,
+``integrate_jet_detailed`` (``Jet2`` integrands) adapt a function of one
+node to that contract.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ __all__ = [
     "jet_exp",
     "integrate",
     "integrate_detailed",
+    "integrate_array_detailed",
     "integrate_jet",
     "integrate_jet_detailed",
     "log_binomial",
@@ -287,14 +293,21 @@ _GW[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
 
 def _gk15(f, a: float, b: float):
-    """One Kronrod pass over [a, b]; returns (value, error_estimate)."""
+    """One Kronrod pass over [a, b]; returns (value, error_estimate).
+
+    ``f`` receives all 15 nodes as one array and returns their values with
+    the node axis first.
+    """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    vals = [np.asarray(f(mid + half * u), dtype=float) for u in _NODES]
-    stacked = np.stack(vals)
+    nodes = mid + half * _NODES
+    stacked = np.asarray(f(nodes), dtype=float)
+    if stacked.shape[:1] != nodes.shape:
+        raise ValueError(
+            f"integrand returned shape {stacked.shape} for {nodes.size} nodes")
     finite = np.isfinite(stacked).reshape(len(_NODES), -1).all(axis=1)
     if not finite.all():
-        node = float(mid + half * _NODES[np.argmin(finite)])
+        node = float(nodes[np.argmin(finite)])
         raise QuadratureError(f"integrand is not finite at x={node!r}",
                               estimate=None, error_bound=math.inf)
     kron = half * np.tensordot(_KW, stacked, axes=1)
@@ -318,9 +331,9 @@ def _adaptive(f, breakpoints: Sequence[float], spec: QuadratureSpec):
         heapq.heappush(heap, (-err, serial, lo, hi, val, err))
         serial += 1
     if total is None:
-        # degenerate interval: probe once to learn the value shape
-        probe = np.asarray(f(breakpoints[0]), dtype=float)
-        return np.zeros_like(probe), 0.0, 0
+        # degenerate interval: probe one node to learn the value shape
+        probe = np.asarray(f(np.array([float(breakpoints[0])])), dtype=float)
+        return np.zeros_like(probe[0]), 0.0, 0
 
     splits = 0
     while heap:
@@ -355,6 +368,25 @@ def _segment_list(a: float, b: float, points: Iterable[float]) -> list[float]:
     return [float(a), *interior, float(b)]
 
 
+def integrate_array_detailed(
+    f: Callable[[np.ndarray], np.ndarray],
+    a: float,
+    b: float,
+    spec: QuadratureSpec = DEFAULT_SPEC,
+    points: Iterable[float] = (),
+) -> tuple[np.ndarray, float]:
+    """Integrate an array-valued integrand; returns (value, error_bound).
+
+    ``f`` maps an array of n nodes to values of shape (n, ...), and is called
+    once per Kronrod pass.  ``points`` lists known kinks; the initial
+    segmentation splits there so the rule only ever sees smooth pieces.  The
+    error bound is the summed Kronrod-Gauss difference of the largest
+    component.
+    """
+    val, err, _ = _adaptive(f, _segment_list(a, b, points), spec)
+    return val, err
+
+
 def integrate_detailed(
     f: Callable[[float], float],
     a: float,
@@ -362,13 +394,8 @@ def integrate_detailed(
     spec: QuadratureSpec = DEFAULT_SPEC,
     points: Iterable[float] = (),
 ) -> tuple[float, float]:
-    """Integrate a scalar integrand; returns (value, error_bound).
-
-    ``points`` lists known kinks; the initial segmentation splits there so the
-    rule only ever sees smooth pieces.
-    """
-    segs = _segment_list(a, b, points)
-    val, err, _ = _adaptive(lambda x: np.float64(f(x)), segs, spec)
+    """Integrate a scalar integrand; returns (value, error_bound)."""
+    val, err = integrate_array_detailed(lambda xs: [f(x) for x in xs], a, b, spec, points)
     return float(val), err
 
 
@@ -390,8 +417,7 @@ def integrate_jet_detailed(
     points: Iterable[float] = (),
 ) -> tuple[Jet2, float]:
     """Integrate a jet-valued integrand coefficient-wise."""
-    segs = _segment_list(a, b, points)
-    template = f(0.5 * (segs[0] + segs[-1]))
+    template = f(0.5 * (a + b))
     if not isinstance(template, Jet2):
         raise TypeError("integrand must return Jet2")
 
@@ -401,7 +427,8 @@ def integrate_jet_detailed(
             raise ValueError("integrand returned jets with inconsistent layout")
         return jet.coeffs
 
-    val, err, _ = _adaptive(coeff_fn, segs, spec)
+    val, err = integrate_array_detailed(
+        lambda xs: [coeff_fn(x) for x in xs], a, b, spec, points)
     return Jet2(val, template.point), err
 
 

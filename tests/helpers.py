@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from uavtc import numerics
 from uavtc.model import NetworkParams, ValidatedScenario, config_from_dict, validate
 
 BASELINE_CONFIG = {
@@ -63,6 +64,19 @@ def baseline_scenario(**overrides) -> ValidatedScenario:
     raw = dict(BASELINE_CONFIG)
     raw.update(overrides)
     return validate(config_from_dict(raw))
+
+
+def count_passes(monkeypatch) -> list:
+    """Record the interval of every Gauss-Kronrod pass from now on."""
+    passes = []
+    gk15 = numerics._gk15
+
+    def counting(f, a, b):
+        passes.append((a, b))
+        return gk15(f, a, b)
+
+    monkeypatch.setattr(numerics, "_gk15", counting)
+    return passes
 
 
 def pmf_convolution_oracle(m: int, stay_prob: float, poisson_mean: float,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from uavtc import analytic
 from uavtc.analytic import (
     conditional_interferer_pmf,
     footprint_egress_integral,
@@ -25,6 +26,7 @@ import helpers
 from helpers import (
     ScalarJointOracle,
     baseline_scenario,
+    count_passes,
     pmf_convolution_oracle,
     richardson_mixed_partial,
 )
@@ -348,3 +350,26 @@ def test_speed_density_success_matches_mixed_oracle(k):
 
 def test_report_uses_stationary_marginal(baseline_report):
     assert baseline_report.p_marginal_t == baseline_report.p_marginal_0
+
+
+@pytest.mark.parametrize("t", [1.0, 3.0])
+def test_low_altitude_joint_matches_fine_oracle(t):
+    # at h=2 the path loss is singular close to the real direction axis;
+    # the pole-doubling direction panels keep the rule accurate there
+    sc = baseline_scenario(k=1, height=2.0)
+    oracle = ScalarJointOracle(sc.params, 10.0, t, sc.threshold, n_leg=200)
+    assert joint_success(sc.params, sc.speed, t, sc.threshold) == pytest.approx(
+        oracle(-1.0, -1.0), abs=1e-10)
+
+
+def test_mapped_integrand_is_called_once_per_pass(monkeypatch):
+    passes, sizes = count_passes(monkeypatch), []
+
+    def f(x):
+        sizes.append(x.shape)
+        return np.stack([x, np.sqrt(2.0 - x)], axis=1)
+
+    value, err = analytic._integrate_mapped(f, 0.0, 2.0, (0.5,))
+    assert value == pytest.approx([2.0, 2.0 / 3.0 * 2.0**1.5], abs=1e-9)
+    assert len(passes) >= 2
+    assert sizes == [(15,)] * len(passes)

@@ -211,6 +211,20 @@ def test_compare_table_shape(runner, config_path, tmp_path):
             assert r[8] != ""
 
 
+def test_compare_leaves_undefined_retry_empty(runner, config_path, tmp_path):
+    # at -80 dB the first attempt almost never fails: the retry success is
+    # undefined, while the joint and the marginals are well defined
+    out = tmp_path / "cmp80"
+    result = runner.invoke(main, [
+        "compare", "--config", config_path, "--m", "4", "--sweep-t", "1",
+        "--sweep-tdb", "-80", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    rows = {r[0]: r for r in read_csv(out / "results.csv")[1:] if r[0] != "pmf"}
+    assert rows["retx_given_fail"][5] == "" and rows["retx_given_fail"][8] == ""
+    marginal = float(rows["marginal_0"][5])
+    assert float(rows["joint"][5]) <= marginal == float(rows["marginal_t"][5])
+
+
 def test_summary_defaults_m_from_config(runner, config_path, tmp_path):
     # config carries m_initial=5; --m can be omitted
     out = tmp_path / "dflt"

@@ -183,6 +183,20 @@ def test_uniform_speed_density():
     assert s.cdf(5.0) == 0.0 and s.cdf(15.0) == 1.0 and s.cdf(10.0) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("speed", [
+    UniformSpeed(5.0, 15.0),
+    TabulatedSpeed([[5.0, 0.05], [10.0, 0.15], [15.0, 0.05]]),
+])
+def test_speed_pdf_on_arrays_matches_scalar_calls(speed):
+    v = np.array([0.0, 5.0 - 1e-12, 5.0, 7.5, 10.0, 15.0, 15.0 + 1e-12, 20.0])
+    density = speed.pdf(v)
+    assert isinstance(density, np.ndarray) and density.shape == v.shape
+    scalars = [speed.pdf(float(x)) for x in v]
+    assert all(type(d) is float for d in scalars)
+    assert density.tolist() == scalars
+    assert scalars[1] == 0.0 and scalars[2] > 0.0 and scalars[5] > 0.0 and scalars[6] == 0.0
+
+
 def test_uniform_speed_invalid_range():
     with pytest.raises(ConfigError):
         speed_from_dict({"kind": "uniform", "v_min": 10.0, "v_max": 10.0})

@@ -1,12 +1,14 @@
 """Jet arithmetic and adaptive quadrature unit tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uavtc import numerics
 from uavtc.numerics import (
     Jet2,
     QuadratureError,
@@ -14,6 +16,7 @@ from uavtc.numerics import (
     SingularJetError,
     falling_factorial_log,
     integrate,
+    integrate_array_detailed,
     integrate_detailed,
     integrate_jet,
     jet_add,
@@ -27,7 +30,7 @@ from uavtc.numerics import (
     log_binomial,
 )
 
-from helpers import richardson_mixed_partial
+from helpers import count_passes, richardson_mixed_partial
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +212,33 @@ def test_quadrature_stops_at_non_finite_integrand():
     node = float(str(exc_info.value).rsplit("x=", 1)[1])
     assert node > 0.5
     assert len(calls) == 15  # one Kronrod pass, no bisection
+
+
+def test_array_integrand_is_called_once_per_pass(monkeypatch):
+    passes = count_passes(monkeypatch)
+    sizes = []
+
+    def f(x):
+        sizes.append(x.shape)
+        return np.stack([np.sqrt(x), np.sin(x)], axis=1)
+
+    value, err = integrate_array_detailed(f, 0.0, 2.0, points=(1.0,))
+    assert value == pytest.approx([2.0 / 3.0 * 2.0**1.5, 1.0 - math.cos(2.0)], abs=1e-9)
+    assert err < 1e-7
+    assert len(passes) > 2  # sqrt at 0 forces bisection
+    assert sizes == [(15,)] * len(passes)
+
+
+def test_array_integrand_non_finite_names_first_bad_node():
+    nodes = 0.5 + 0.5 * numerics._NODES
+    first_bad = float(nodes[nodes > 0.7][0])
+    with pytest.raises(QuadratureError, match=re.escape(f"x={first_bad!r}")):
+        integrate_array_detailed(lambda x: np.where(x > 0.7, math.nan, x), 0.0, 1.0)
+
+
+def test_array_integrand_on_degenerate_interval_keeps_shape():
+    value, err = integrate_array_detailed(lambda x: np.ones((len(x), 2, 3)), 1.0, 1.0)
+    assert value.shape == (2, 3) and not value.any() and err == 0.0
 
 
 def test_integrate_jet_matches_componentwise_scalars():
