@@ -13,7 +13,7 @@ from .analytic import (
     retransmission_report,
     unconditional_interferer_pmf,
 )
-from .mobility import Displacement, containment_cdf, displaced_distance
+from .mobility import containment_cdf, displaced_distance
 from .model import (
     AntennaPattern,
     ConfigError,
@@ -27,7 +27,6 @@ from .model import (
     ValidatedScenario,
     config_from_dict,
     db_to_linear,
-    gain_at,
     linear_to_db,
     load_config,
     scenario_from_dict,

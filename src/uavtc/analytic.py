@@ -58,7 +58,6 @@ from .model import NetworkParams, SpeedDistribution
 from .numerics import (
     Jet2,
     QuadratureSpec,
-    falling_factorial_log,
     integrate_array_detailed,
     jet_add,
     jet_const,
@@ -66,7 +65,6 @@ from .numerics import (
     jet_scale,
     jet_var1,
     jet_var2,
-    log_binomial,
 )
 
 # Bound here only because perfbench/spans.py patches them by these names;
@@ -139,11 +137,17 @@ def _arrival_mean(params: NetworkParams, stay: float) -> float:
     return params.lam * params.p_mobile * math.pi * r_out * r_out * (1.0 - stay)
 
 
+def _check_gap(t: float) -> None:
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t!r}")
+
+
 def footprint_ingress_integral(params: NetworkParams, speed: SpeedDistribution, t: float) -> float:
     """Probability that a node uniform in the footprint is still inside after t.
 
     Equals E_V[L(V t)] for the lens overlap fraction L of the footprint.
     """
+    _check_gap(t)
     r_out = params.antenna.r_out
     if t == 0 or speed.support_max * t == 0:
         return 1.0
@@ -165,8 +169,6 @@ def footprint_egress_integral(params: NetworkParams, speed: SpeedDistribution, t
     By stationarity this equals the mean number of mobile nodes of a
     full-intensity footprint that leave it.
     """
-    if params.lam == 0.0 or params.p_mobile == 0.0 or speed.support_max * t == 0.0:
-        return 0.0
     return _arrival_mean(params, footprint_ingress_integral(params, speed, t))
 
 
@@ -178,13 +180,49 @@ def mean_departures(m: int, params: NetworkParams, speed: SpeedDistribution, t: 
     return m * params.p_mobile * (1.0 - stay)
 
 
-def _pow_log(base: float, exponent: int) -> float | None:
-    """exponent*log(base) with the 0**0 = 1 convention; None marks a zero term."""
-    if exponent == 0:
-        return 0.0
-    if base <= 0.0:
-        return None
-    return exponent * math.log(base)
+def _point_mass(index: int, size: int) -> np.ndarray:
+    out = np.zeros(size)
+    out[index] = 1.0
+    return out
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0..n; one lgamma each, as a running sum of logs drifts."""
+    return np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+
+
+def _poisson_pmf(mean: float, n: int) -> np.ndarray:
+    """Poisson(mean) probabilities of 0..n."""
+    if mean == 0.0:
+        return _point_mass(0, n + 1)
+    return np.exp(np.arange(n + 1) * math.log(mean) - mean - _log_factorials(n))
+
+
+def _binomial_pmf(m: int, p: float) -> np.ndarray:
+    """Binomial(m, p) probabilities of 0..m."""
+    if p == 0.0 or p == 1.0:
+        return _point_mass(m if p == 1.0 else 0, m + 1)
+    i = np.arange(m + 1)
+    log_fact = _log_factorials(m)
+    return np.exp(log_fact[m] - log_fact - log_fact[::-1]
+                  + i * math.log(p) + (m - i) * math.log1p(-p))
+
+
+def _limit(cap: int, n_max: int | None) -> int:
+    if n_max is None:
+        return cap
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max!r}")
+    return n_max
+
+
+def _truncated(probs: np.ndarray, m: int, t: float, n_max: int | None) -> InterfererPmf:
+    """The pmf cut after index n_max, by default the first whose cumulative mass exceeds 1 - 1e-9."""
+    cum = np.cumsum(probs)
+    if n_max is None:
+        n_max = min(int(np.searchsorted(cum, 1.0 - _TAIL_EPS, side="right")), len(probs) - 1)
+    return InterfererPmf(m=m, t=float(t), probs=probs[: n_max + 1],
+                         tail_mass=max(0.0, 1.0 - float(cum[n_max])))
 
 
 def conditional_interferer_pmf(
@@ -196,9 +234,10 @@ def conditional_interferer_pmf(
 ) -> InterfererPmf:
     """Pmf of the interferer count at the second instant given m at the first.
 
-    ``m`` is any integer type (numpy integers included).  Each term is
-    assembled in the log domain and summed linearly; n_max defaults to the
-    smallest index whose cumulative mass exceeds 1 - 1e-9, capped at
+    ``m`` is any integer type (numpy integers included).  The count is the
+    Binomial(m, p * stay + 1 - p) survivors plus the Poisson arrivals, so the
+    pmf is the convolution of the two.  n_max defaults to the smallest index
+    whose cumulative mass exceeds 1 - 1e-9, capped at
     m + ceil(A + 12*sqrt(A)) + 20 where A is the mean arrival count.
     """
     try:
@@ -209,56 +248,18 @@ def conditional_interferer_pmf(
         raise ValueError(f"m must be a non-negative integer, got {m!r}")
     stay_in = footprint_ingress_integral(params, speed, t)
     arrivals = _arrival_mean(params, stay_in)
-    p = params.p_mobile
-    depart_prob = p * (1.0 - stay_in)  # per initial node
-    survive_prob = p * stay_in + (1.0 - p)
-
-    cap = m + math.ceil(arrivals + 12.0 * math.sqrt(arrivals)) + 20
-    limit = cap if n_max is None else n_max
-
-    probs = []
-    cum = 0.0
-    for n in range(limit + 1):
-        total = 0.0
-        for i in range(min(n, m) + 1):
-            pieces = [
-                log_binomial(n, i),
-                falling_factorial_log(m, i),
-                -math.lgamma(n + 1),
-                _pow_log(depart_prob, m - i),
-                _pow_log(survive_prob, i),
-                _pow_log(arrivals, n - i),
-                -arrivals,
-            ]
-            if any(piece is None for piece in pieces):
-                continue
-            total += math.exp(sum(pieces))
-        probs.append(total)
-        cum += total
-        if n_max is None and cum > 1.0 - _TAIL_EPS:
-            break
-    tail = max(0.0, 1.0 - cum)
-    return InterfererPmf(m=m, t=float(t), probs=np.array(probs), tail_mass=tail)
+    limit = _limit(m + math.ceil(arrivals + 12.0 * math.sqrt(arrivals)) + 20, n_max)
+    survive_prob = params.p_mobile * stay_in + (1.0 - params.p_mobile)
+    probs = np.convolve(_binomial_pmf(m, survive_prob), _poisson_pmf(arrivals, limit))
+    return _truncated(probs[: limit + 1], m, t, n_max)
 
 
 def unconditional_interferer_pmf(params: NetworkParams, n_max: int | None = None) -> InterfererPmf:
     """Stationary Poisson count of in-footprint interferers (any instant)."""
     r_out = params.antenna.r_out
     mu = params.lam * math.pi * r_out * r_out
-    cap = math.ceil(mu + 12.0 * math.sqrt(mu)) + 20
-    limit = cap if n_max is None else n_max
-    probs = []
-    cum = 0.0
-    for n in range(limit + 1):
-        log_p = _pow_log(mu, n)
-        val = 0.0 if log_p is None else math.exp(log_p - mu - math.lgamma(n + 1))
-        if mu == 0.0 and n == 0:
-            val = 1.0
-        probs.append(val)
-        cum += val
-        if n_max is None and cum > 1.0 - _TAIL_EPS:
-            break
-    return InterfererPmf(m=0, t=0.0, probs=np.array(probs), tail_mass=max(0.0, 1.0 - cum))
+    limit = _limit(math.ceil(mu + 12.0 * math.sqrt(mu)) + 20, n_max)
+    return _truncated(_poisson_pmf(mu, limit), 0, 0.0, n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +423,7 @@ def laplace_exponent_jet(
 
 
 def _success_detailed(params, speed, t, threshold, s1_active, s2_active):
+    _check_gap(t)
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
     exponent, err = _exponent_jet_detailed(params, speed, t, threshold, s1_active, s2_active)

@@ -378,8 +378,15 @@ def _build_spec(kind, config_path, seed, replications, workers, out_dir, sweep_t
     t_values = _parse_list(sweep_t, float, "--sweep-t")
     tdb_values = _parse_list(sweep_tdb, float, "--sweep-tdb")
     m_values = _parse_list(m_list, int, "--m")
+    violations = []
+    if t_values is not None and not all(0 <= t < math.inf for t in t_values):
+        violations.append(f"--sweep-t values must be finite and >= 0, got {sweep_t!r}")
+    if tdb_values is not None and not all(math.isfinite(tdb) for tdb in tdb_values):
+        violations.append(f"--sweep-tdb values must be finite, got {sweep_tdb!r}")
     if m_values is not None and any(m < 0 for m in m_values):
-        raise ConfigError(["--m values must be >= 0"])
+        violations.append("--m values must be >= 0")
+    if violations:
+        raise ConfigError(violations)
     default_m = (scenario.m_initial,) if scenario.m_initial is not None else ()
     if tdb_values is None:
         tdb_values = tuple(DEFAULT_TDB_GRID) if grid_default else (linear_to_db(scenario.threshold),)
@@ -397,19 +404,14 @@ def _build_spec(kind, config_path, seed, replications, workers, out_dir, sweep_t
 def _execute(kind, **kwargs):
     try:
         spec = _build_spec(kind, **kwargs)
-        if kind in ("interferer-pmf",) and not spec.m_list:
-            raise ConfigError(["--m (or m_initial in the config) is required for this experiment"])
-        if kind == "conditional-success" and not spec.m_list:
+        if kind in ("interferer-pmf", "conditional-success") and not spec.m_list:
             raise ConfigError(["--m (or m_initial in the config) is required for this experiment"])
         summary = run(spec)
     except ConfigError as exc:
         for violation in exc.violations:
             click.echo(f"error: {violation}", err=True)
         sys.exit(2)
-    except QuadratureError as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(3)
-    except (ValueError, FloatingPointError, ZeroDivisionError) as exc:
+    except (QuadratureError, ValueError, FloatingPointError, ZeroDivisionError) as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(3)
     click.echo(f"wrote {spec.out_dir}/results.csv ({summary['rows']} rows)")

@@ -21,8 +21,6 @@ the integral collects speeds for which only an angular arc stays inside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import SpeedDistribution
@@ -31,18 +29,6 @@ from .numerics import QuadratureSpec, integrate
 _PI = np.pi
 
 CONTAINMENT_SPEC = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10, max_subdivisions=2000)
-
-
-@dataclass(frozen=True)
-class Displacement:
-    """One realized move: speed, direction angle, and duration."""
-
-    speed: float
-    angle: float  # radians; 0 points from the node toward the origin
-    duration: float
-
-    def applied_to(self, x):
-        return displaced_distance(x, self.speed, self.angle, self.duration)
 
 
 def displaced_distance(x, speed, angle, duration):

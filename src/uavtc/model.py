@@ -326,13 +326,9 @@ class AntennaPattern:
         return float(out) if out.ndim == 0 else out
 
     def gain_at(self, ground_distance):
+        """Antenna gain seen at a given ground distance from the serving node."""
         d = np.asarray(ground_distance, dtype=float)
         return self.gain_at_sq(d * d)
-
-
-def gain_at(antenna: AntennaPattern, ground_distance):
-    """Antenna gain seen at a given ground distance from the serving node."""
-    return antenna.gain_at(ground_distance)
 
 
 @dataclass(frozen=True)

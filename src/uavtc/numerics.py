@@ -1,5 +1,5 @@
-"""Numerical substrate: adaptive Gauss-Kronrod quadrature, truncated bivariate
-Taylor (jet) arithmetic, and log-domain combinatorics.
+"""Numerical substrate: adaptive Gauss-Kronrod quadrature and truncated
+bivariate Taylor (jet) arithmetic.
 
 A jet stores the Taylor coefficients of a two-variable function around a fixed
 expansion point, truncated at a per-variable degree.  Arithmetic on jets
@@ -46,8 +46,6 @@ __all__ = [
     "integrate_array_detailed",
     "integrate_jet",
     "integrate_jet_detailed",
-    "log_binomial",
-    "falling_factorial_log",
 ]
 
 
@@ -441,21 +439,3 @@ def integrate_jet(
 ) -> Jet2:
     return integrate_jet_detailed(f, a, b, spec, points)[0]
 
-
-# ---------------------------------------------------------------------------
-# Log-domain combinatorics
-# ---------------------------------------------------------------------------
-
-
-def log_binomial(n: int, i: int) -> float:
-    """log C(n, i); exact in the log domain via lgamma."""
-    if i < 0 or n < 0 or i > n:
-        raise ValueError(f"binomial index out of range: C({n}, {i})")
-    return math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
-
-
-def falling_factorial_log(m: int, i: int) -> float:
-    """log of m * (m-1) * ... * (m-i+1), the falling factorial with i terms."""
-    if i < 0 or m < 0 or i > m:
-        raise ValueError(f"falling factorial out of range: ({m})_{i}")
-    return math.lgamma(m + 1) - math.lgamma(m - i + 1)

@@ -81,6 +81,26 @@ def test_egress_trivial_cases(base):
     assert footprint_egress_integral(static.params, static.speed, 1.0) == 0.0
 
 
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("speed", [FixedSpeed(10.0), UniformSpeed(5.0, 15.0)])
+def test_count_rates_reject_bad_gaps(base, speed, t):
+    for rate in (footprint_ingress_integral, footprint_egress_integral):
+        with pytest.raises(ValueError, match="t must be finite and >= 0"):
+            rate(base.params, speed, t)
+    with pytest.raises(ValueError, match="t must be finite and >= 0"):
+        mean_departures(5, base.params, speed, t)
+    with pytest.raises(ValueError, match="t must be finite and >= 0"):
+        conditional_interferer_pmf(5, base.params, speed, t)
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+def test_success_rejects_bad_gaps(base, t):
+    with pytest.raises(ValueError, match="t must be finite and >= 0"):
+        joint_success(base.params, base.speed, t, base.threshold)
+    with pytest.raises(ValueError, match="t must be finite and >= 0"):
+        retransmission_report(base.params, base.speed, t, base.threshold)
+
+
 @pytest.mark.parametrize("speed", [
     FixedSpeed(10.0),
     UniformSpeed(5.0, 15.0),
@@ -227,6 +247,35 @@ def test_pmf_converges_to_unconditional_poisson(base):
     distances = [tv(t) for t in (1.0, 2.0, 5.0, 10.0, 50.0)]
     assert all(d2 <= d1 + 1e-12 for d1, d2 in zip(distances, distances[1:]))
     assert distances[-1] < distances[0]
+
+
+def test_pmfs_reject_negative_n_max(base):
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        conditional_interferer_pmf(5, base.params, base.speed, 1.0, n_max=-1)
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        unconditional_interferer_pmf(base.params, n_max=-1)
+
+
+def test_pmf_explicit_n_max_sets_the_length(base):
+    for n_max in (0, 3, 40):
+        pmf = conditional_interferer_pmf(5, base.params, base.speed, 1.0, n_max=n_max)
+        assert pmf.n_max == n_max
+        assert pmf.tail_mass == pytest.approx(max(0.0, 1.0 - float(np.sum(pmf.probs))), abs=1e-12)
+
+
+@pytest.mark.parametrize("speed", [FixedSpeed(10.0), UniformSpeed(5.0, 15.0)])
+@pytest.mark.parametrize("t", [1.0, 5.0])
+def test_poisson_mixture_of_conditional_pmfs_is_the_stationary_count(base, speed, t):
+    # a Poisson(lambda pi r^2) count at time 0 mixed over the conditional
+    # law at time t gives the stationary Poisson count again
+    reference = unconditional_interferer_pmf(base.params)
+    mu = base.params.lam * math.pi * base.params.antenna.r_out**2
+    m_values = np.arange(int(mu + 20.0 * math.sqrt(mu)) + 20)
+    weights = stats.poisson.pmf(m_values, mu)
+    mixture = sum(
+        w * conditional_interferer_pmf(m, base.params, speed, t, n_max=reference.n_max).probs
+        for m, w in zip(m_values, weights))
+    np.testing.assert_allclose(mixture, reference.probs, rtol=0, atol=1e-12)
 
 
 def test_unconditional_pmf_is_poisson(base):

@@ -283,6 +283,20 @@ def test_empty_sweep_list_exits_2(runner, config_path, tmp_path):
     assert not (tmp_path / "never").exists()
 
 
+@pytest.mark.parametrize("command, flag, message", [
+    ("retransmission", "--sweep-t=-1", "--sweep-t values must be finite and >= 0"),
+    ("interferer-pmf", "--sweep-t=nan", "--sweep-t values must be finite and >= 0"),
+    ("retransmission", "--sweep-t=1,inf", "--sweep-t values must be finite and >= 0"),
+    ("joint-success", "--sweep-tdb=-10,nan", "--sweep-tdb values must be finite"),
+])
+def test_bad_sweep_value_exits_2(runner, config_path, tmp_path, command, flag, message):
+    out = tmp_path / "never"
+    result = runner.invoke(main, [command, "--config", config_path, flag, "--out", str(out)])
+    assert result.exit_code == 2
+    assert message in result.output
+    assert not out.exists()
+
+
 def test_invalid_config_exits_2_without_artifacts(runner, tmp_path):
     bad = tmp_path / "bad.json"
     cfg = dict(BASELINE_CONFIG)

@@ -16,7 +16,6 @@ from uavtc.model import (
     UniformSpeed,
     config_from_dict,
     db_to_linear,
-    gain_at,
     linear_to_db,
     scenario_from_json,
     scenario_to_dict,
@@ -266,7 +265,7 @@ def test_gain_boundaries_are_right_continuous():
     assert ant.gain_at(15.0 + 1e-9) == 0.5
     assert ant.gain_at(25.0) == 0.5
     assert ant.gain_at(25.0 + 1e-9) == 0.0
-    assert gain_at(ant, np.array([0.0, 20.0, 30.0])).tolist() == [2.0, 0.5, 0.0]
+    assert ant.gain_at(np.array([0.0, 20.0, 30.0])).tolist() == [2.0, 0.5, 0.0]
 
 
 @given(st.floats(0.0, 60.0), st.floats(0.0, 60.0))

@@ -14,7 +14,6 @@ from uavtc.numerics import (
     QuadratureError,
     QuadratureSpec,
     SingularJetError,
-    falling_factorial_log,
     integrate,
     integrate_array_detailed,
     integrate_detailed,
@@ -27,7 +26,6 @@ from uavtc.numerics import (
     jet_scale,
     jet_var1,
     jet_var2,
-    log_binomial,
 )
 
 from helpers import count_passes, richardson_mixed_partial
@@ -262,33 +260,3 @@ def test_quadrature_validates_spec():
         QuadratureSpec(abs_tol=0.0, rel_tol=1e-8, max_subdivisions=10)
     with pytest.raises(ValueError):
         QuadratureSpec(abs_tol=1e-10, rel_tol=1e-8, max_subdivisions=0)
-
-
-# ---------------------------------------------------------------------------
-# log-domain combinatorics
-# ---------------------------------------------------------------------------
-
-
-@given(st.integers(0, 60), st.integers(0, 60))
-def test_log_binomial_matches_comb(n, i):
-    if i > n:
-        return
-    assert math.exp(log_binomial(n, i)) == pytest.approx(math.comb(n, i), rel=1e-12)
-
-
-@given(st.integers(0, 40), st.integers(0, 40))
-def test_falling_factorial_log(m, i):
-    if i > m:
-        return
-    exact = 1
-    for step in range(i):
-        exact *= m - step
-    if exact > 0:
-        assert math.exp(falling_factorial_log(m, i)) == pytest.approx(exact, rel=1e-12)
-
-
-def test_combinatorics_range_validation():
-    with pytest.raises(ValueError):
-        log_binomial(-1, 0)
-    with pytest.raises(ValueError):
-        falling_factorial_log(3, 5)
