@@ -54,6 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mobility import check_gap
 from .model import NetworkParams, SpeedDistribution
 from .numerics import (
     Jet2,
@@ -137,17 +138,12 @@ def _arrival_mean(params: NetworkParams, stay: float) -> float:
     return params.lam * params.p_mobile * math.pi * r_out * r_out * (1.0 - stay)
 
 
-def _check_gap(t: float) -> None:
-    if not 0 <= t < math.inf:
-        raise ValueError(f"t must be finite and >= 0, got {t!r}")
-
-
 def footprint_ingress_integral(params: NetworkParams, speed: SpeedDistribution, t: float) -> float:
     """Probability that a node uniform in the footprint is still inside after t.
 
     Equals E_V[L(V t)] for the lens overlap fraction L of the footprint.
     """
-    _check_gap(t)
+    check_gap(t)
     r_out = params.antenna.r_out
     if t == 0 or speed.support_max * t == 0:
         return 1.0
@@ -267,7 +263,7 @@ def unconditional_interferer_pmf(params: NetworkParams, n_max: int | None = None
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SuccessReport:
     """Joint, marginal, and failure-conditioned success at one (t, threshold)."""
 
@@ -287,7 +283,7 @@ def _integrate_mapped(f, a: float, b: float, points) -> tuple[np.ndarray, float]
     The map clusters nodes at both ends of every segment, where arc lengths
     and lens areas behave like square roots or 3/2 powers; in u they are
     smooth, so one or two Kronrod passes per segment suffice.  ``f`` takes
-    an array of x and returns values with the node axis first.
+    the x nodes of a whole refinement round and returns values node axis first.
     """
     edges = np.array(sorted({a, b, *(p for p in points if a < p < b)}), dtype=float)
     n = len(edges) - 1
@@ -423,7 +419,7 @@ def laplace_exponent_jet(
 
 
 def _success_detailed(params, speed, t, threshold, s1_active, s2_active):
-    _check_gap(t)
+    check_gap(t)
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
     exponent, err = _exponent_jet_detailed(params, speed, t, threshold, s1_active, s2_active)

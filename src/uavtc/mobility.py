@@ -31,6 +31,11 @@ _PI = np.pi
 CONTAINMENT_SPEC = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10, max_subdivisions=2000)
 
 
+def check_gap(t: float) -> None:
+    if not 0 <= t < np.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t!r}")
+
+
 def displaced_distance(x, speed, angle, duration):
     """Ground distance from the origin after the move; accepts arrays.
 
@@ -69,8 +74,7 @@ def containment_cdf(
         raise ValueError(f"r must be > 0, got {r!r}")
     if not x >= 0:
         raise ValueError(f"x must be >= 0, got {x!r}")
-    if not 0 <= t < np.inf:
-        raise ValueError(f"t must be finite and >= 0, got {t!r}")
+    check_gap(t)
     if t == 0:
         return 1.0 if x <= r else 0.0
     if x == 0:

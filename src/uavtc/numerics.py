@@ -10,18 +10,18 @@ coefficients of its exponent directly and uses jets for the final
 exponential.
 
 The quadrature is a 15-point Kronrod rule with embedded 7-point Gauss rule,
-refined by bisecting the segment with the largest error estimate.  An
-integrand of ``integrate_array_detailed`` is called once per pass with the
-array of its 15 nodes and returns the values with the node axis first, so an
-array of any shape can be integrated component-wise.  ``integrate``,
-``integrate_detailed`` (float integrands) and ``integrate_jet``,
-``integrate_jet_detailed`` (``Jet2`` integrands) adapt a function of one
-node to that contract.
+refined in rounds: each round bisects the segments with the largest error
+estimates, as few as can bring the summed error within tolerance.  An
+integrand of ``integrate_array_detailed`` is called once per round with the
+15 nodes of every segment that round evaluates, concatenated, and returns
+the values with the node axis first, so an array of any shape can be
+integrated component-wise.  ``integrate``, ``integrate_detailed`` (float
+integrands) and ``integrate_jet``, ``integrate_jet_detailed`` (``Jet2``
+integrands) adapt a function of one node to that contract.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -288,56 +288,57 @@ _NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
 _KW = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _GW = np.zeros_like(_KW)
 _GW[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
+_RULES = np.stack([_KW, _GW])
 
 
-def _gk15(f, a: float, b: float):
-    """One Kronrod pass over [a, b]; returns (value, error_estimate).
+def _gk15(f, a, b):
+    """Kronrod passes over the segments [a, b]; returns (values, error_estimates).
 
-    ``f`` receives all 15 nodes as one array and returns their values with
-    the node axis first.
+    ``a`` and ``b`` hold the segment ends (arrays, or scalars for one
+    segment).  ``f`` is called once with the 15 nodes of every segment,
+    concatenated segment by segment, and returns their values with the node
+    axis first.  Values and error estimates carry the segment axes of ``a``.
     """
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    nodes = mid + half * _NODES
+    mid = 0.5 * (np.asarray(a, dtype=float) + b)
+    half = 0.5 * (np.asarray(b, dtype=float) - a)
+    nodes = (mid[..., None] + half[..., None] * _NODES).ravel()
     stacked = np.asarray(f(nodes), dtype=float)
     if stacked.shape[:1] != nodes.shape:
         raise ValueError(
             f"integrand returned shape {stacked.shape} for {nodes.size} nodes")
-    finite = np.isfinite(stacked).reshape(len(_NODES), -1).all(axis=1)
+    finite = np.isfinite(stacked).reshape(nodes.size, -1).all(axis=1)
     if not finite.all():
         node = float(nodes[np.argmin(finite)])
         raise QuadratureError(f"integrand is not finite at x={node!r}",
                               estimate=None, error_bound=math.inf)
-    kron = half * np.tensordot(_KW, stacked, axes=1)
-    gauss = half * np.tensordot(_GW, stacked, axes=1)
-    err = float(np.max(np.abs(kron - gauss)))
-    return kron, err
+    # one matmul applies both rules to every segment: (2, 15) @ (segments, 15, components)
+    rules = _RULES @ stacked.reshape(half.size, len(_NODES), -1)
+    kron, gauss = half.reshape(-1, 1) * rules[:, 0], half.reshape(-1, 1) * rules[:, 1]
+    err = np.abs(kron - gauss).max(axis=1).reshape(half.shape)
+    return kron.reshape(*half.shape, *stacked.shape[1:]), err
 
 
 def _adaptive(f, breakpoints: Sequence[float], spec: QuadratureSpec):
-    """Adaptive bisection over the segments delimited by ``breakpoints``."""
-    heap = []
-    serial = 0
-    total = None
-    total_err = 0.0
-    for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
-        if hi <= lo:
-            continue
-        val, err = _gk15(f, lo, hi)
-        total = val if total is None else total + val
-        total_err += err
-        heapq.heappush(heap, (-err, serial, lo, hi, val, err))
-        serial += 1
-    if total is None:
-        # degenerate interval: probe one node to learn the value shape
-        probe = np.asarray(f(np.array([float(breakpoints[0])])), dtype=float)
-        return np.zeros_like(probe[0]), 0.0, 0
+    """Adaptive bisection, in rounds, of the segments between sorted ``breakpoints``.
 
+    Each round bisects, worst first, the fewest segments whose summed error
+    estimate covers the excess over the tolerance, and evaluates all the new
+    halves in one ``_gk15`` call.
+    """
+    edges = np.asarray(breakpoints, dtype=float)
+    if edges[-1] <= edges[0]:
+        # degenerate interval: probe one node to learn the value shape
+        probe = np.asarray(f(edges[:1]), dtype=float)
+        return np.zeros_like(probe[0]), 0.0, 0
+    lo, hi = edges[:-1], edges[1:]
+    val, err = _gk15(f, lo, hi)
     splits = 0
-    while heap:
+    while True:
+        total = val.sum(axis=0)
+        total_err = float(err.sum())
         tol = max(spec.abs_tol, spec.rel_tol * float(np.max(np.abs(total))))
         if total_err <= tol:
-            break
+            return total, total_err, splits
         if splits >= spec.max_subdivisions:
             raise QuadratureError(
                 f"quadrature did not converge after {splits} subdivisions "
@@ -345,18 +346,16 @@ def _adaptive(f, breakpoints: Sequence[float], spec: QuadratureSpec):
                 estimate=total,
                 error_bound=total_err,
             )
-        _, _, lo, hi, val, err = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        left_val, left_err = _gk15(f, lo, mid)
-        right_val, right_err = _gk15(f, mid, hi)
-        total = total - val + left_val + right_val
-        total_err = total_err - err + left_err + right_err
-        heapq.heappush(heap, (-left_err, serial, lo, mid, left_val, left_err))
-        serial += 1
-        heapq.heappush(heap, (-right_err, serial, mid, hi, right_val, right_err))
-        serial += 1
-        splits += 1
-    return total, total_err, splits
+        order = np.argsort(-err, kind="stable")
+        need = np.searchsorted(np.cumsum(err[order]), total_err - tol) + 1
+        split = order[:min(need, spec.max_subdivisions - splits)]
+        mid = 0.5 * (lo[split] + hi[split])
+        halves = (np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]]))
+        fresh = (*halves, *_gk15(f, *halves))
+        # the bisected segments give way to their halves, appended at the end
+        lo, hi, val, err = [np.concatenate([np.delete(old, split, axis=0), new])
+                            for old, new in zip((lo, hi, val, err), fresh)]
+        splits += split.size
 
 
 def _segment_list(a: float, b: float, points: Iterable[float]) -> list[float]:
@@ -376,10 +375,10 @@ def integrate_array_detailed(
     """Integrate an array-valued integrand; returns (value, error_bound).
 
     ``f`` maps an array of n nodes to values of shape (n, ...), and is called
-    once per Kronrod pass.  ``points`` lists known kinks; the initial
-    segmentation splits there so the rule only ever sees smooth pieces.  The
-    error bound is the summed Kronrod-Gauss difference of the largest
-    component.
+    once per refinement round with the 15 nodes of each segment the round
+    evaluates.  ``points`` lists known kinks; the initial segmentation splits
+    there so the rule only ever sees smooth pieces.  The error bound is the
+    summed Kronrod-Gauss difference of the largest component.
     """
     val, err, _ = _adaptive(f, _segment_list(a, b, points), spec)
     return val, err

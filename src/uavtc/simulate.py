@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .mobility import displaced_distance
+from .mobility import check_gap, displaced_distance
 from .model import NetworkParams, SpeedDistribution, ValidatedScenario, db_to_linear
 
 _JOINT = 1
@@ -125,6 +125,7 @@ def sample_network(
     Keeps every node inside the footprint at time 0 or at time t, and no
     other; ``size`` independent replications are drawn as one block.
     """
+    check_gap(t)
     r_out = params.antenna.r_out
     counts = rng.poisson(params.lam * math.pi * r_out * r_out, size)
     r0 = _footprint_radii(rng, int(counts.sum()), r_out)
@@ -148,6 +149,7 @@ def sample_conditioned(
     """
     if m < 0:
         raise ValueError("m must be >= 0")
+    check_gap(t)
     r0 = _footprint_radii(rng, m * size, params.antenna.r_out)
     owner = np.repeat(np.arange(size), m)
     return _footprint_block(params, speed, t, rng, r0, owner, size, n_inner=m * size)

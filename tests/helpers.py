@@ -67,16 +67,59 @@ def baseline_scenario(**overrides) -> ValidatedScenario:
 
 
 def count_passes(monkeypatch) -> list:
-    """Record the interval of every Gauss-Kronrod pass from now on."""
+    """Record every Gauss-Kronrod call from now on.
+
+    Each entry lists the (a, b) ends of the segments that one integrand call
+    covered, so ``len(passes)`` counts calls and ``sum(map(len, passes))``
+    counts segments.
+    """
     passes = []
     gk15 = numerics._gk15
 
     def counting(f, a, b):
-        passes.append((a, b))
+        passes.append(list(zip(np.ravel(a).tolist(), np.ravel(b).tolist())))
         return gk15(f, a, b)
 
     monkeypatch.setattr(numerics, "_gk15", counting)
     return passes
+
+
+def serial_heap_integrate(f, a: float, b: float, spec=numerics.DEFAULT_SPEC,
+                          points=()) -> tuple[np.ndarray, float, int]:
+    """Reference driver: bisect the single worst segment, one pass at a time.
+
+    The serial QUADPACK-style refinement that ``numerics._adaptive`` replaced
+    (a heap keyed on the error estimate, ties broken oldest first).  Uses
+    only the rule's node and weight tables.  Returns (value, error_bound,
+    segments_evaluated).
+    """
+    import heapq
+
+    def one_pass(lo, hi):
+        nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * numerics._NODES
+        values = np.asarray(f(nodes), dtype=float)
+        kron = 0.5 * (hi - lo) * np.tensordot(numerics._KW, values, axes=1)
+        gauss = 0.5 * (hi - lo) * np.tensordot(numerics._GW, values, axes=1)
+        return kron, float(np.max(np.abs(kron - gauss)))
+
+    edges = [float(a), *sorted({float(p) for p in points if a < p < b}), float(b)]
+    heap, total, total_err = [], 0.0, 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        val, err = one_pass(lo, hi)
+        total, total_err = total + val, total_err + err
+        heapq.heappush(heap, (-err, len(heap), lo, hi, val, err))
+    serial = evaluated = len(heap)
+    while total_err > max(spec.abs_tol, spec.rel_tol * float(np.max(np.abs(total)))):
+        _, _, lo, hi, val, err = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        left, right = one_pass(lo, mid), one_pass(mid, hi)
+        total = total - val + left[0] + right[0]
+        total_err = total_err - err + left[1] + right[1]
+        for seg, (half_val, half_err) in (((lo, mid), left), ((mid, hi), right)):
+            heapq.heappush(heap, (-half_err, serial, *seg, half_val, half_err))
+            serial += 1
+        evaluated += 2
+    return total, total_err, evaluated
 
 
 def pmf_convolution_oracle(m: int, stay_prob: float, poisson_mean: float,

@@ -28,7 +28,7 @@ from uavtc.numerics import (
     jet_var2,
 )
 
-from helpers import count_passes, richardson_mixed_partial
+from helpers import count_passes, richardson_mixed_partial, serial_heap_integrate
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +212,7 @@ def test_quadrature_stops_at_non_finite_integrand():
     assert len(calls) == 15  # one Kronrod pass, no bisection
 
 
-def test_array_integrand_is_called_once_per_pass(monkeypatch):
+def test_array_integrand_is_called_once_per_round(monkeypatch):
     passes = count_passes(monkeypatch)
     sizes = []
 
@@ -224,7 +224,44 @@ def test_array_integrand_is_called_once_per_pass(monkeypatch):
     assert value == pytest.approx([2.0 / 3.0 * 2.0**1.5, 1.0 - math.cos(2.0)], abs=1e-9)
     assert err < 1e-7
     assert len(passes) > 2  # sqrt at 0 forces bisection
-    assert sizes == [(15,)] * len(passes)
+    assert sizes == [(15 * len(segments),) for segments in passes]
+    assert passes[0] == [(0.0, 1.0), (1.0, 2.0)]  # both initial segments at once
+
+
+_ROUND_CASES = {
+    "sqrt kink": (lambda x: np.sqrt(np.abs(x - 0.3)), 0.0, 1.0, ()),
+    "oscillatory": (lambda x: np.sin(50.0 * x) / (1e-3 + np.abs(x - 0.31)), 0.0, 1.0, (0.31,)),
+    "array-valued": (lambda x: np.stack([np.sqrt(x), np.sin(x), np.exp(-x * x)], axis=1),
+                     0.0, 2.0, (1.0,)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ROUND_CASES))
+def test_round_driver_matches_serial_heap_driver(monkeypatch, case):
+    f, a, b, points = _ROUND_CASES[case]
+    reference, reference_err, reference_segments = serial_heap_integrate(f, a, b, points=points)
+    passes = count_passes(monkeypatch)
+    value, err = integrate_array_detailed(f, a, b, points=points)
+    assert np.max(np.abs(value - reference)) <= 1e-14
+    assert err == pytest.approx(reference_err, rel=1e-6)
+    assert sum(map(len, passes)) <= reference_segments
+    assert len(passes) < reference_segments  # the serial driver calls once per segment
+
+
+def test_one_round_bisects_several_segments(monkeypatch):
+    passes = count_passes(monkeypatch)
+    f, a, b, points = _ROUND_CASES["oscillatory"]
+    integrate_array_detailed(f, a, b, points=points)
+    assert max(map(len, passes[1:])) >= 8  # halves of four or more segments in one call
+
+
+def test_round_budget_is_never_exceeded(monkeypatch):
+    spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=5)
+    passes = count_passes(monkeypatch)
+    with pytest.raises(QuadratureError, match="did not converge after 5 subdivisions"):
+        integrate_array_detailed(_ROUND_CASES["oscillatory"][0], 0.0, 1.0, spec)
+    # one initial segment, then two halves per subdivision
+    assert sum(map(len, passes)) == 1 + 2 * 5
 
 
 def test_array_integrand_non_finite_names_first_bad_node():
@@ -232,6 +269,29 @@ def test_array_integrand_non_finite_names_first_bad_node():
     first_bad = float(nodes[nodes > 0.7][0])
     with pytest.raises(QuadratureError, match=re.escape(f"x={first_bad!r}")):
         integrate_array_detailed(lambda x: np.where(x > 0.7, math.nan, x), 0.0, 1.0)
+
+
+def test_multi_segment_round_names_first_bad_node(monkeypatch):
+    # the first round covers [0, 1] and [1, 2]; only the second has bad nodes
+    passes = count_passes(monkeypatch)
+    nodes = 1.5 + 0.5 * numerics._NODES
+    first_bad = float(nodes[nodes > 1.6][0])
+    with pytest.raises(QuadratureError, match=re.escape(f"x={first_bad!r}")):
+        integrate_array_detailed(lambda x: np.where(x > 1.6, math.nan, x), 0.0, 2.0,
+                                 points=(1.0,))
+    assert passes == [[(0.0, 1.0), (1.0, 2.0)]]
+
+
+def test_gk15_takes_scalar_or_array_segments():
+    def f(x):
+        return np.stack([x * x, np.cos(x)], axis=1)
+
+    one_value, one_err = numerics._gk15(f, 0.0, 1.0)
+    values, errs = numerics._gk15(f, np.array([0.0, 1.0]), np.array([1.0, 3.0]))
+    assert one_value.shape == (2,) and np.ndim(one_err) == 0
+    assert values.shape == (2, 2) and errs.shape == (2,)
+    assert values[0] == pytest.approx(one_value, abs=1e-15)
+    assert values[1] == pytest.approx([26.0 / 3.0, math.sin(3.0) - math.sin(1.0)], abs=1e-12)
 
 
 def test_array_integrand_on_degenerate_interval_keeps_shape():

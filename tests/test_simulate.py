@@ -259,6 +259,28 @@ def test_conditioned_sampling_shapes(base):
     assert np.all(real.r0 <= r_out + base.speed.support_max * t + 1e-9)
 
 
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+def test_samplers_reject_bad_gaps(base, t):
+    # -1 used to be sampled as t = 1 (49 nodes at size 4 with this stream)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=r"t must be finite and >= 0, got"):
+        sample_network(base.params, FixedSpeed(10.0), t, rng, size=4)
+    with pytest.raises(ValueError, match=r"t must be finite and >= 0, got"):
+        sample_conditioned(2, base.params, FixedSpeed(10.0), t, rng, size=4)
+
+
+@pytest.mark.parametrize("estimate", [
+    estimate_joint_success,
+    lambda sc: estimate_conditional_pmf(2, sc, 5),
+    lambda sc: estimate_conditional_success(2, sc),
+    lambda sc: estimate_arrivals_departures(2, sc),
+])
+def test_estimators_reject_bad_gaps(base, estimate):
+    bad = dataclasses.replace(base, t_gap=-1.0, replications=10)
+    with pytest.raises(ValueError, match=r"t must be finite and >= 0, got -1\.0"):
+        estimate(bad)
+
+
 def test_conditioned_inner_count_statistics(base):
     # inner points uniform in the footprint: mean squared radius = r^2/2
     rng = np.random.default_rng(4)
