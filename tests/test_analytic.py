@@ -421,7 +421,7 @@ def test_low_altitude_joint_matches_fine_oracle(t):
         oracle(-1.0, -1.0), abs=1e-10)
 
 
-def test_mapped_integrand_is_called_once_per_round(monkeypatch):
+def test_mapped_integrand_is_called_once_per_pass(monkeypatch):
     passes, sizes = count_passes(monkeypatch), []
 
     def f(x):

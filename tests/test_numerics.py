@@ -212,7 +212,7 @@ def test_quadrature_stops_at_non_finite_integrand():
     assert len(calls) == 15  # one Kronrod pass, no bisection
 
 
-def test_array_integrand_is_called_once_per_round(monkeypatch):
+def test_array_integrand_is_called_once_per_pass(monkeypatch):
     passes = count_passes(monkeypatch)
     sizes = []
 
