@@ -14,48 +14,30 @@ plotdata.csv, and summary.json:
                         1..10: analytic vs Monte Carlo, with the
                         independent-marginal baseline
 
-All runs share one baseline scenario: density 0.005, mobile fraction 0.8,
-height 50, path-loss exponent 4, Nakagami shape 2 with mean power 0.5,
-main/side gains 2.0/0.5, footprint radii 15/25, fixed speed 10, threshold
--10 dB.  Replications default to 100000 per grid point; pass a smaller
---replications for a faster pass.
+All runs share the scenario of configs/baseline.json: density 0.005, mobile
+fraction 0.8, height 50, path-loss exponent 4, Nakagami shape 2 with scale
+0.5 (mean power 1.0), main/side gains 2.0/0.5, footprint radii 15/25, fixed
+speed 10, threshold -10 dB.  Replications default to 100000 per grid point;
+pass a smaller --replications for a faster pass.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from pathlib import Path
 
 from uavtc.cli import ExperimentSpec, run
-from uavtc.model import config_from_dict, validate
+from uavtc.model import DEFAULT_TDB_GRID, load_config, validate
 
-BASELINE = {
-    "lambda": 0.005,
-    "p_mobile": 0.8,
-    "height": 50.0,
-    "alpha": 4.0,
-    "noise": 1e-10,
-    "k": 2,
-    "omega": 0.5,
-    "g_main": 2.0,
-    "g_side": 0.5,
-    "r_in": 15.0,
-    "r_out": 25.0,
-    "speed": {"kind": "fixed", "v": 10.0},
-    "t_gap": 1.0,
-    "threshold_db": -10.0,
-    "replications": 100_000,
-    "seed": 7,
-}
+BASELINE = Path(__file__).resolve().parent.parent / "configs" / "baseline.json"
 
 
 def baseline_scenario(replications: int, seed: int):
-    raw = dict(BASELINE)
-    raw["replications"] = replications
-    raw["seed"] = seed
-    return validate(config_from_dict(raw))
+    config = dataclasses.replace(load_config(BASELINE), replications=replications, seed=seed)
+    return validate(config)
 
 
 def main(argv=None) -> int:
@@ -84,7 +66,7 @@ def main(argv=None) -> int:
             kind="conditional-success",
             scenario=scenario,
             sweep_t=(1.0,),
-            sweep_tdb=tuple(float(db) for db in range(-20, 12, 2)),
+            sweep_tdb=DEFAULT_TDB_GRID,
             m_list=(5, 15),
             out_dir=args.out / "fig_conditional",
             workers=args.workers,

@@ -11,6 +11,7 @@ from .analytic import (
     marginal_success,
     mean_departures,
     retransmission_report,
+    success_report,
     unconditional_interferer_pmf,
 )
 from .mobility import containment_cdf, displaced_distance

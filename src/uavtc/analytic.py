@@ -32,10 +32,13 @@ instants):
   gamma-fading factor of a static interferer at ground distance x and B
   averages the same factor over the interferer's random displacement.  A
   factor (1 - q s)^(-k) has the Taylor coefficients
-  C(k+i-1, i) (1+q)^(-k) (q/(1+q))^i around s = -1, so the coefficients of
-  the integrand form the rank-one array x (delta - a(x) b(x)^T).  Jet
-  arithmetic from :mod:`uavtc.numerics` is needed only for the final
-  exponential.
+  C(k+i-1, i) (1+q)^(-k) (q/(1+q))^i around s = -1.  With a(x) and b(x)
+  the coefficient vectors of A and B, a1 = (1, a) and b1 = (1, b), one
+  radial integral of the rank-one (k+1) x (k+1) array x (D - a1 b1^T), D
+  one on its leading 2 x 2 block, holds every exponent at once: [1:, 1:]
+  is the joint one, [1:, :1] that of the time-0 marginal (s2 = 0) and
+  [:1, 1:] that of the time-t marginal (s1 = 0).  Jet arithmetic from
+  :mod:`uavtc.numerics` is needed only for the final exponential.
 
 Every quantity is linear in the speed law.  Each is computed for one fixed
 speed, as a closed form or as one radial integral whose direction average
@@ -60,12 +63,7 @@ from .numerics import (
     Jet2,
     QuadratureSpec,
     integrate_array_detailed,
-    jet_add,
-    jet_const,
     jet_exp,
-    jet_scale,
-    jet_var1,
-    jet_var2,
 )
 
 # Bound here only because perfbench/spans.py patches them by these names;
@@ -270,7 +268,7 @@ class SuccessReport:
     p_joint: float
     p_marginal_0: float
     p_marginal_t: float
-    p_retx_given_fail: float
+    p_retx_given_fail: float | None  # None where undefined
     p_independent_joint: float
     quadrature_error_bound: float
 
@@ -300,22 +298,19 @@ def _integrate_mapped(f, a: float, b: float, points) -> tuple[np.ndarray, float]
 
 
 class _Exponent:
-    """Taylor coefficients of the Laplace exponent E around (-1, -1).
+    """Taylor coefficients around (-1, -1) of the joint and both marginal exponents.
 
-    A fading factor contributes the coefficient vector ``series(d2)``; an
-    inactive instant contributes the factor 1, whose vector is
-    e0 = (1, 0, ..., 0).
+    A fading factor contributes the coefficient vector ``series(d2)``.  The
+    radial integrand is x (D - a1 b1^T) with a1 = (1, a), b1 = (1, b) and D
+    one on the leading 2 x 2 block (see the module docstring).
     """
 
-    def __init__(self, params, threshold, s1_active, s2_active):
+    def __init__(self, params, threshold):
         self.params = params
         k = params.fading.k
         self.k = k
         self.binom = np.array([math.comb(k + i - 1, i) for i in range(k)], dtype=float)
         self.powers = np.arange(k)
-        self.e0 = np.eye(1, k)[0]
-        self.s1_active = s1_active
-        self.s2_active = s2_active
         self.scale = threshold / params.antenna.g_main
         self.h2 = params.height * params.height
         self.half_alpha = params.alpha / 2.0
@@ -327,7 +322,7 @@ class _Exponent:
         return self.binom * (1.0 + q) ** -self.k * (q / (1.0 + q)) ** self.powers
 
     def at_distance(self, vt: float) -> tuple[np.ndarray, float]:
-        """E when every mobile node moves the distance vt; (coefficients, error bound)."""
+        """The exponents when every mobile node moves the distance vt; (array, error bound)."""
         ant = self.params.antenna
         p = self.params.p_mobile
         points = {ant.r_in, ant.r_out}
@@ -359,13 +354,11 @@ class _Exponent:
             x2 = (x * x)[:, None]
             d2 = np.concatenate((x2, x2 + vt * vt - 2.0 * x[:, None] * vt * np.cos(phi)), axis=1)
             terms = self.series(d2.ravel()).reshape(*d2.shape, self.k)
-            a = terms[:, 0] if self.s1_active else self.e0
-            if self.s2_active:
-                b = p * np.einsum("nm,nmk->nk", weights, terms[:, 1:]) + (1.0 - p) * terms[:, 0]
-            else:
-                b = self.e0
-            out = -x[:, None, None] * (a[..., :, None] * b[..., None, :])
-            out[:, 0, 0] += x
+            b = p * np.einsum("nm,nmk->nk", weights, terms[:, 1:]) + (1.0 - p) * terms[:, 0]
+            one = np.ones((len(x), 1))
+            a1, b1 = np.hstack((one, terms[:, 0])), np.hstack((one, b))
+            out = -x[:, None, None] * (a1[:, :, None] * b1[:, None, :])
+            out[:, :2, :2] += x[:, None, None]
             return out
 
         raw, err = _integrate_mapped(bracket, 0.0, ant.r_out + vt, points)
@@ -373,15 +366,15 @@ class _Exponent:
         return -scale * raw, scale * err
 
 
-def _exponent_jet_detailed(params, speed, t, threshold, s1_active, s2_active):
+def _exponent_detailed(params, speed, t, threshold):
+    """The (k+1) x (k+1) exponent array of ``_Exponent`` at gap t and its error bound."""
     k = params.fading.k
     if params.lam == 0.0 or threshold == 0.0:
-        return jet_const(0.0, (k - 1, k - 1)), 0.0
-    ctx = _Exponent(params, threshold, s1_active, s2_active)
-    mobile = s2_active and params.p_mobile > 0.0 and speed.support_max * t > 0.0
+        return np.zeros((k + 1, k + 1)), 0.0
+    ctx = _Exponent(params, threshold)
+    mobile = params.p_mobile > 0.0 and speed.support_max * t > 0.0
     if not mobile or speed.atom is not None:
-        coeffs, err = ctx.at_distance(speed.atom * t if mobile else 0.0)
-        return Jet2(coeffs), err
+        return ctx.at_distance(speed.atom * t if mobile else 0.0)
 
     # E is linear in the speed law: average the fixed-speed exponent over v
     worst_inner = 0.0
@@ -401,7 +394,7 @@ def _exponent_jet_detailed(params, speed, t, threshold, s1_active, s2_active):
     tangent = [abs(a + sign * b) / t for a in radii for b in radii for sign in (-1.0, 1.0)]
     coeffs, err = _integrate_mapped(
         at_speed, speed.support_min, speed.support_max, (*speed.pdf_breakpoints, *tangent))
-    return Jet2(coeffs), err + worst_inner
+    return coeffs, err + worst_inner
 
 
 def laplace_exponent_jet(
@@ -415,25 +408,34 @@ def laplace_exponent_jet(
     Evaluating exp of this jet at (s1, s2) = (-1, -1) and collecting Taylor
     coefficients yields the interference part of the success probability.
     """
-    return _exponent_jet_detailed(params, speed, t, threshold, True, True)[0]
+    return Jet2(_exponent_detailed(params, speed, t, threshold)[0][1:, 1:])
 
 
-def _success_detailed(params, speed, t, threshold, s1_active, s2_active):
+def _probability(exponent: np.ndarray, noise: float, instants: int) -> float:
+    """Sum of the Taylor coefficients of exp(noise * (s1 + s2) + E) around (-1, -1).
+
+    ``exponent`` holds those of E in the ``instants`` variables it has.
+    """
+    coeffs = np.array(exponent)
+    coeffs[0, 0] -= instants * noise
+    coeffs[1:2, 0] += noise
+    coeffs[0, 1:2] += noise
+    value = float(jet_exp(Jet2(coeffs)).coeffs.sum())
+    if value > 1.0 + _TAIL_EPS or value < -_TAIL_EPS:
+        log.warning("success probability %.3e outside [0, 1]; clamping", value)
+    return min(max(value, 0.0), 1.0)
+
+
+def _success_detailed(params, speed, t, threshold):
+    """Joint, time-0 and time-t success at gap t, and the quadrature error bound."""
     check_gap(t)
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    exponent, err = _exponent_jet_detailed(params, speed, t, threshold, s1_active, s2_active)
-    orders = exponent.orders
-    zero = jet_const(0.0, orders)
-    s1 = jet_var1(orders) if s1_active else zero
-    s2 = jet_var2(orders) if s2_active else zero
-    h = params.height
-    c = threshold * h**params.alpha / (params.fading.omega * params.antenna.g_main)
-    noise_jet = jet_scale(jet_add(s1, s2), c * params.noise)
-    value = float(jet_exp(jet_add(noise_jet, exponent)).coeffs.sum())
-    if value > 1.0 + _TAIL_EPS or value < -_TAIL_EPS:
-        log.warning("success probability %.3e outside [0, 1]; clamping", value)
-    return min(max(value, 0.0), 1.0), err
+    exponent, err = _exponent_detailed(params, speed, t, threshold)
+    c = threshold * params.height**params.alpha / (params.fading.omega * params.antenna.g_main)
+    noise = c * params.noise
+    return (_probability(exponent[1:, 1:], noise, 2), _probability(exponent[1:, :1], noise, 1),
+            _probability(exponent[:1, 1:], noise, 1), err)
 
 
 def joint_success(
@@ -443,7 +445,7 @@ def joint_success(
     threshold: float,
 ) -> float:
     """P{SINR over threshold at both instants}."""
-    return _success_detailed(params, speed, t, threshold, True, True)[0]
+    return _success_detailed(params, speed, t, threshold)[0]
 
 
 def marginal_success(
@@ -455,43 +457,43 @@ def marginal_success(
 ) -> float:
     """Single-instant success probability; ``which`` is "time0" or "timeT".
 
-    By stationarity of the displaced point process the two marginals agree.
-    "time0" needs no mobility and is the one ``retransmission_report`` uses;
-    "timeT" averages over the displacement, so comparing the two checks the
-    mobile part of the exponent.
+    Both are entries of the (k+1) x (k+1) exponent integral that also holds
+    the joint.  "time0" reads it at gap 0, a single static integral;
+    "timeT" reads it at gap t, where its time-t entries average over the
+    displacement.  By stationarity of the displaced point process the two
+    agree, so comparing them checks the mobile part of the exponent.
     """
     if which == "time0":
-        return _success_detailed(params, speed, t, threshold, True, False)[0]
+        check_gap(t)
+        return _success_detailed(params, speed, 0.0, threshold)[1]
     if which == "timeT":
-        return _success_detailed(params, speed, t, threshold, False, True)[0]
+        return _success_detailed(params, speed, t, threshold)[2]
     raise ValueError("which must be 'time0' or 'timeT'")
 
 
-def retransmission_report(
-    params: NetworkParams,
-    speed: SpeedDistribution,
-    t: float,
-    threshold: float,
-) -> SuccessReport:
-    """Joint/marginal success and the failure-conditioned retry success.
+def success_report(params: NetworkParams, speed: SpeedDistribution, t: float,
+                   threshold: float) -> SuccessReport:
+    """Joint, marginal and failure-conditioned retry success from one integral at gap t.
 
-    The time-t marginal equals the time-0 marginal by stationarity.  The
-    conditional is (p_marginal_t - p_joint) / (1 - p_marginal_0); it is
-    undefined when the first-instant failure event has vanishing probability.
+    Both marginals report the time-0 one, which the time-t one equals by
+    stationarity, and the joint is clamped to it.  The retry success
+    (p_marginal - p_joint) / (1 - p_marginal) is None where the first
+    failure has vanishing probability.
     """
-    p_m, err_m = _success_detailed(params, speed, t, threshold, True, False)
-    if p_m >= 1.0 - 1e-12:
-        raise ValueError("failure event has vanishing probability; conditional undefined")
-    p_joint, err_j = _success_detailed(params, speed, t, threshold, True, True)
+    p_joint, p_m, _, err = _success_detailed(params, speed, t, threshold)
     if p_joint > p_m + _TAIL_EPS:
         log.warning("joint success %.12g exceeds the marginal %.12g", p_joint, p_m)
     p_joint = min(p_joint, p_m)
-    retx = (p_m - p_joint) / (1.0 - p_m)
-    return SuccessReport(
-        p_joint=p_joint,
-        p_marginal_0=p_m,
-        p_marginal_t=p_m,
-        p_retx_given_fail=min(max(retx, 0.0), 1.0),
-        p_independent_joint=p_m * p_m,
-        quadrature_error_bound=err_m + err_j,
-    )
+    retx = min(max((p_m - p_joint) / (1.0 - p_m), 0.0), 1.0) if p_m < 1.0 - 1e-12 else None
+    return SuccessReport(p_joint=p_joint, p_marginal_0=p_m, p_marginal_t=p_m,
+                         p_retx_given_fail=retx, p_independent_joint=p_m * p_m,
+                         quadrature_error_bound=err)
+
+
+def retransmission_report(params: NetworkParams, speed: SpeedDistribution, t: float,
+                          threshold: float) -> SuccessReport:
+    """:func:`success_report`, raising ``ValueError`` where the retry success is undefined."""
+    report = success_report(params, speed, t, threshold)
+    if report.p_retx_given_fail is None:
+        raise ValueError("failure event has vanishing probability; conditional undefined")
+    return report

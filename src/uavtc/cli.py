@@ -32,6 +32,7 @@ import click
 
 from . import __version__, analytic, simulate
 from .model import (
+    DEFAULT_TDB_GRID,
     ConfigError,
     ValidatedScenario,
     db_to_linear,
@@ -43,8 +44,6 @@ from .model import (
 from .numerics import QuadratureError
 
 log = logging.getLogger(__name__)
-
-DEFAULT_TDB_GRID = [float(db) for db in range(-20, 12, 2)]
 
 _HEADERS = {
     "interferer-pmf": ["m", "t", "n", "p_analytic", "p_mc", "p_poisson_independent"],
@@ -169,32 +168,19 @@ def _rows_retransmission(spec: ExperimentSpec):
     return rows
 
 
-def _analytic_success(sc: ValidatedScenario, t: float, threshold: float):
-    """(joint, marginal, retry) success; the retry is None where it is undefined.
-
-    The marginal is the time-0 one, which equals the time-t one by
-    stationarity, and the joint is clamped to it.  The retry success given a
-    first failure is undefined once that failure has vanishing probability.
-    """
-    p_m = analytic.marginal_success(sc.params, sc.speed, t, threshold, "time0")
-    p_joint = min(analytic.joint_success(sc.params, sc.speed, t, threshold), p_m)
-    if p_m >= 1.0 - 1e-12:
-        return p_joint, p_m, None
-    return p_joint, p_m, min(max((p_m - p_joint) / (1.0 - p_m), 0.0), 1.0)
-
-
 def _rows_joint_success(spec: ExperimentSpec):
     rows = []
     sc = spec.scenario
     for t in spec.sweep_t:
         for db in spec.sweep_tdb:
-            p_joint, p_m, _ = _analytic_success(sc, t, db_to_linear(db))
+            rep = analytic.success_report(sc.params, sc.speed, t, db_to_linear(db))
             est = simulate.estimate_joint_success(
                 _with(sc, t=t, threshold_db=db), workers=spec.workers
             )
-            log.info("joint-success t=%g T=%gdB: analytic=%.6f", t, db, p_joint)
+            log.info("joint-success t=%g T=%gdB: analytic=%.6f", t, db, rep.p_joint)
             rows.append([
-                t, db, p_joint, est.joint.estimate, est.joint.std_error, p_m, p_m, p_m * p_m,
+                t, db, rep.p_joint, est.joint.estimate, est.joint.std_error,
+                rep.p_marginal_0, rep.p_marginal_t, rep.p_independent_joint,
             ])
     return rows
 
@@ -210,15 +196,15 @@ def _rows_compare(spec: ExperimentSpec):
     sc = spec.scenario
     for t in spec.sweep_t:
         for db in spec.sweep_tdb:
-            p_joint, p_m, retx = _analytic_success(sc, t, db_to_linear(db))
+            rep = analytic.success_report(sc.params, sc.speed, t, db_to_linear(db))
             est = simulate.estimate_joint_success(
                 _with(sc, t=t, threshold_db=db), workers=spec.workers
             )
             pairs = [
-                ("joint", p_joint, est.joint),
-                ("marginal_0", p_m, est.marginal_0),
-                ("marginal_t", p_m, est.marginal_t),
-                ("retx_given_fail", retx, est.retx_given_fail),
+                ("joint", rep.p_joint, est.joint),
+                ("marginal_0", rep.p_marginal_0, est.marginal_0),
+                ("marginal_t", rep.p_marginal_t, est.marginal_t),
+                ("retx_given_fail", rep.p_retx_given_fail, est.retx_given_fail),
             ]
             log.info("compare t=%g T=%gdB", t, db)
             for name, a_val, e in pairs:
@@ -389,7 +375,7 @@ def _build_spec(kind, config_path, seed, replications, workers, out_dir, sweep_t
         raise ConfigError(violations)
     default_m = (scenario.m_initial,) if scenario.m_initial is not None else ()
     if tdb_values is None:
-        tdb_values = tuple(DEFAULT_TDB_GRID) if grid_default else (linear_to_db(scenario.threshold),)
+        tdb_values = DEFAULT_TDB_GRID if grid_default else (linear_to_db(scenario.threshold),)
     return ExperimentSpec(
         kind=kind,
         scenario=scenario,

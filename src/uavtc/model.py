@@ -43,6 +43,10 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
+# thresholds of the conditional- and joint-success sweeps: -20..10 dB in 2 dB steps
+DEFAULT_TDB_GRID = tuple(float(db) for db in range(-20, 12, 2))
+
+
 def db_to_linear(value_db: float) -> float:
     return 10.0 ** (value_db / 10.0)
 
@@ -553,7 +557,9 @@ def _resolve_radii(problems, config: ScenarioConfig, height):
 
 
 def _revalidate(scenario: ValidatedScenario) -> ValidatedScenario:
-    p = scenario.params
+    p, ant = scenario.params, scenario.params.antenna
+    problems = [f"{name} must be finite" for name, x in scenario_to_dict(scenario).items()
+                if isinstance(x, float) and not math.isfinite(x)]
     checks = [
         (p.lam >= 0, "lambda must be >= 0"),
         (0.0 <= p.p_mobile <= 1.0, "p_mobile must lie in [0, 1]"),
@@ -562,15 +568,15 @@ def _revalidate(scenario: ValidatedScenario) -> ValidatedScenario:
         (p.noise >= 0, "noise must be >= 0"),
         (isinstance(p.fading.k, int) and 1 <= p.fading.k <= 8, "k must be an integer in [1, 8]"),
         (p.fading.omega > 0, "omega must be > 0"),
-        (p.antenna.g_main > 0, "g_main must be > 0"),
-        (0 <= p.antenna.g_side <= p.antenna.g_main, "g_side must lie in [0, g_main]"),
-        (0 < p.antenna.r_in < p.antenna.r_out, "r_in must be < r_out"),
+        (ant.g_main > 0, "g_main must be > 0"),
+        (0 <= ant.g_side <= ant.g_main, "g_side must lie in [0, g_main]"),
+        (0 < ant.r_in < ant.r_out, "r_in must be < r_out"),
         (scenario.t_gap >= 0, "t_gap must be >= 0"),
         (scenario.threshold > 0, "threshold must be > 0"),
         (scenario.replications >= 1, "replications must be >= 1"),
         (scenario.seed >= 0, "seed must be >= 0"),
     ]
-    problems = [msg for ok, msg in checks if not ok]
+    problems += [msg for ok, msg in checks if not ok]
     if scenario.m_initial is not None and scenario.m_initial < 0:
         problems.append("m_initial must be >= 0")
     if problems:

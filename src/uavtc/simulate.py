@@ -27,7 +27,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .mobility import check_gap, displaced_distance
-from .model import NetworkParams, SpeedDistribution, ValidatedScenario, db_to_linear
+from .model import (
+    DEFAULT_TDB_GRID, NetworkParams, SpeedDistribution, ValidatedScenario, db_to_linear)
 
 _JOINT = 1
 _PMF = 2
@@ -414,11 +415,11 @@ def estimate_conditional_success(
 ) -> list[EstimatorResult]:
     """Success probability at the second instant given m initial interferers.
 
-    ``thresholds`` are linear SINR values; the default grid spans
-    -20 dB to 10 dB in 2 dB steps.
+    ``thresholds`` are linear SINR values, by default those of
+    ``DEFAULT_TDB_GRID`` (-20 dB to 10 dB in 2 dB steps).
     """
     if thresholds is None:
-        thresholds = [db_to_linear(db) for db in range(-20, 12, 2)]
+        thresholds = [db_to_linear(db) for db in DEFAULT_TDB_GRID]
     grid = np.asarray(list(thresholds), dtype=float)
     seed = scenario.seed if seed is None else seed
     reps = scenario.replications

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from uavtc import numerics
+from uavtc import analytic, numerics
 from uavtc.model import NetworkParams, ValidatedScenario, config_from_dict, validate
 
 BASELINE_CONFIG = {
@@ -82,6 +82,19 @@ def count_passes(monkeypatch) -> list:
 
     monkeypatch.setattr(numerics, "_gk15", counting)
     return passes
+
+
+def count_radial_integrals(monkeypatch) -> list:
+    """Record the (a, b) range of every ``analytic._integrate_mapped`` call from now on."""
+    ranges = []
+    integrate = analytic._integrate_mapped
+
+    def counting(f, a, b, points):
+        ranges.append((a, b))
+        return integrate(f, a, b, points)
+
+    monkeypatch.setattr(analytic, "_integrate_mapped", counting)
+    return ranges
 
 
 def serial_heap_integrate(f, a: float, b: float, spec=numerics.DEFAULT_SPEC,

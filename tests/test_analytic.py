@@ -29,6 +29,7 @@ from helpers import (
     ScalarJointOracle,
     baseline_scenario,
     count_passes,
+    count_radial_integrals,
     pmf_convolution_oracle,
     richardson_mixed_partial,
 )
@@ -414,11 +415,23 @@ def test_report_uses_stationary_marginal(baseline_report):
 @pytest.mark.parametrize("t", [1.0, 3.0])
 def test_low_altitude_joint_matches_fine_oracle(t):
     # at h=2 the path loss is singular close to the real direction axis;
-    # the pole-doubling direction panels keep the rule accurate there
+    # the pole-doubling direction panels keep the rule accurate there.  The
+    # report's time-0 marginal and the time-t marginal come out of the same
+    # mobile integral as the joint, so they are checked there too.
     sc = baseline_scenario(k=1, height=2.0)
     oracle = ScalarJointOracle(sc.params, 10.0, t, sc.threshold, n_leg=200)
     assert joint_success(sc.params, sc.speed, t, sc.threshold) == pytest.approx(
         oracle(-1.0, -1.0), abs=1e-10)
+    report = retransmission_report(sc.params, sc.speed, t, sc.threshold)
+    assert report.p_marginal_0 == pytest.approx(oracle(-1.0, 0.0), abs=1e-10)
+    assert marginal_success(sc.params, sc.speed, t, sc.threshold, "timeT") == pytest.approx(
+        oracle(0.0, -1.0), abs=1e-10)
+
+
+def test_fixed_speed_report_is_one_radial_integral(base, monkeypatch):
+    calls = count_radial_integrals(monkeypatch)
+    retransmission_report(base.params, base.speed, 1.0, base.threshold)
+    assert len(calls) == 1
 
 
 def test_mapped_integrand_is_called_once_per_pass(monkeypatch):

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: artifacts, determinism, exit codes."""
 
 import csv
+import importlib.util
 import json
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from click.testing import CliRunner
 from uavtc import cli, simulate
 from uavtc.cli import emit_plotdata, main
 
-from helpers import BASELINE_CONFIG
+from helpers import BASELINE_CONFIG, count_radial_integrals
 
 
 @pytest.fixture()
@@ -130,6 +131,15 @@ def test_joint_success_marginals_are_stationary(runner, config_path, tmp_path):
     assert len(body) == 4
     for row in body:
         assert row[mt] == row[m0]
+
+
+def test_joint_success_point_is_one_radial_integral(runner, config_path, tmp_path, monkeypatch):
+    calls = count_radial_integrals(monkeypatch)
+    result = runner.invoke(main, [
+        "joint-success", "--config", config_path, "--sweep-t", "1",
+        "--sweep-tdb", "-10", "--out", str(tmp_path / "js")])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
 
 
 def test_joint_success_runs_where_the_retry_is_undefined(runner, config_path, tmp_path):
@@ -358,3 +368,20 @@ def test_emit_plotdata_rejects_unknown_header(tmp_path):
     src.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError, match="unrecognized"):
         emit_plotdata(src)
+
+
+# ---------------------------------------------------------------------------
+# experiment script
+# ---------------------------------------------------------------------------
+
+
+def test_run_figures_script_writes_three_experiments(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_figures.py"
+    spec = importlib.util.spec_from_file_location("run_figures", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main(["--replications", "2000", "--out", str(tmp_path)]) == 0
+    for folder, kind in (("fig_count_pmf", "interferer-pmf"),
+                         ("fig_conditional", "conditional-success"),
+                         ("fig_retransmission", "retransmission")):
+        assert read_csv(tmp_path / folder / "results.csv")[0] == cli._HEADERS[kind]

@@ -90,6 +90,21 @@ def test_negative_time_gap_rejected():
         validate(config_from_dict(raw(t_gap=-1.0)))
 
 
+@pytest.mark.parametrize("field", [
+    "lambda", "p_mobile", "height", "alpha", "noise", "omega",
+    "g_main", "g_side", "r_in", "r_out", "t_gap", "threshold",
+])
+def test_serialized_form_rejects_infinite_fields(field):
+    # the serialized form bypasses validate(ScenarioConfig), which already
+    # rejects these; "Infinity" is how json writes float("inf")
+    payload = json.loads(scenario_to_json(baseline_scenario()))
+    payload[field] = math.inf
+    text = json.dumps(payload)
+    assert "Infinity" in text
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        scenario_from_json(text)
+
+
 # ---------------------------------------------------------------------------
 # footprint radii vs beam angles
 # ---------------------------------------------------------------------------
