@@ -343,16 +343,10 @@ def emit_plotdata(results_csv: str | Path, out_path: str | Path | None = None) -
 
 
 def _build_spec(kind, config_path, seed, replications, workers, out_dir, sweep_t, sweep_tdb, m_list):
-    scenario = validate(load_config(config_path))
+    overrides = {name: value for name, value in (("seed", seed), ("replications", replications))
+                 if value is not None}
+    scenario = validate(replace(load_config(config_path), **overrides))
     grid_default = kind in ("conditional-success", "joint-success")
-    if seed is not None:
-        if seed < 0:
-            raise ConfigError(["--seed must be >= 0"])
-        scenario = replace(scenario, seed=seed)
-    if replications is not None:
-        if replications < 1:
-            raise ConfigError(["--replications must be >= 1"])
-        scenario = replace(scenario, replications=replications)
     if workers is None:
         env = os.environ.get("UAVTC_WORKERS")
         try:

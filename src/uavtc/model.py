@@ -1,9 +1,15 @@
-"""Scenario parameters, speed distributions, validation, and config I/O.
+"""Scenario parameters, speed laws, the scenario checker, and config I/O.
 
-A raw config (flat JSON) is parsed into a :class:`ScenarioConfig`, then
-checked and normalized into a :class:`ValidatedScenario`.  All dB-to-linear
-conversion happens exactly once, at validation time; downstream code only
-ever sees linear quantities and the footprint radii (never antenna angles).
+Every rule on a scenario's fields lives in one checker, ``_scenario``, which
+collects all violations and builds the :class:`ValidatedScenario`.  Each
+entry point goes through it: :func:`validate` of a raw
+:class:`ScenarioConfig` (after the steps only a raw config needs: resolving
+the footprint radii from beam angles and converting the threshold from dB),
+:func:`validate` of an already validated scenario, and
+:func:`scenario_from_dict` / :func:`scenario_from_json`.  Speed laws check
+their own parameters when built, so a law that exists is valid.  Downstream
+code only ever sees linear quantities and the footprint radii (never
+antenna angles).
 """
 
 from __future__ import annotations
@@ -12,21 +18,15 @@ import abc
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+import numbers
+import sys
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 log = logging.getLogger(__name__)
-
-TWO_PI = 2.0 * math.pi
-
-_CONFIG_KEYS = {
-    "lambda", "p_mobile", "height", "alpha", "noise", "k", "omega",
-    "g_main", "g_side", "r_in", "r_out", "theta_m_deg", "theta_s_deg",
-    "speed", "t_gap", "threshold_db", "m_initial", "replications", "seed",
-}
 
 _SPEED_KEYS = {
     "fixed": {"kind", "v"},
@@ -53,6 +53,75 @@ def db_to_linear(value_db: float) -> float:
 
 def linear_to_db(value: float) -> float:
     return 10.0 * math.log10(value)
+
+
+# ---------------------------------------------------------------------------
+# Field rules: every rule on a scenario field is written once, here
+# ---------------------------------------------------------------------------
+
+_AT_LEAST_0 = (lambda x: x >= 0, "must be >= 0")
+_ABOVE_0 = (lambda x: x > 0, "must be > 0")
+
+# the rule on each real field of a scenario, in linear units
+_REAL_RULES = {
+    "lambda": _AT_LEAST_0,
+    "p_mobile": (lambda x: 0 <= x <= 1, "must lie in [0, 1]"),
+    "height": _ABOVE_0,
+    "alpha": (lambda x: x > 2, "must exceed 2"),
+    "noise": _AT_LEAST_0,
+    "omega": _ABOVE_0,
+    "g_main": _ABOVE_0,
+    "g_side": _AT_LEAST_0,
+    "r_in": _ABOVE_0,
+    "r_out": _ABOVE_0,
+    "t_gap": _AT_LEAST_0,
+    "threshold": _ABOVE_0,
+}
+# the inclusive range of each integer field (no upper end where None);
+# m_initial may also be None
+_INTEGER_RANGES = {
+    "k": (1, 8), "m_initial": (0, None), "replications": (1, None), "seed": (0, 2**64 - 1),
+}
+_SCENARIO_KEYS = {*_REAL_RULES, *_INTEGER_RANGES, "speed"}
+
+
+def _real(problems: list[str], name: str, value, rule=None) -> float | None:
+    """``value`` as a float if it is a finite number keeping ``rule``, else None.
+
+    The reason for a None is appended to ``problems``.
+    """
+    if value is None:
+        problems.append(f"{name} is required")
+    elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+        problems.append(f"{name} must be a number")
+    elif not abs(value) <= sys.float_info.max:  # also NaN, and ints too large for a float
+        problems.append(f"{name} must be finite")
+    elif rule is not None and not rule[0](value):
+        problems.append(f"{name} {rule[1]}")
+    else:
+        return float(value)
+    return None
+
+
+def _integer(problems: list[str], name: str, value, lo: int, hi: int | None) -> int | None:
+    """``value`` as an int if it is a whole number in [lo, hi], else None.
+
+    The reason for a None is appended to ``problems``.
+    """
+    if value is None:
+        problems.append(f"{name} is required")
+    elif isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral)
+        or (isinstance(value, numbers.Real) and float(value).is_integer())
+    ):
+        problems.append(f"{name} must be an integer")
+    elif value < lo:
+        problems.append(f"{name} must be >= {lo}")
+    elif hi is not None and value > hi:
+        problems.append(f"{name} must be <= {hi}")
+    else:
+        return int(value)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +178,9 @@ class FixedSpeed(SpeedDistribution):
     v: float
     kind: str = field(default="fixed", init=False)
 
+    def __post_init__(self):
+        _store_speeds(self, "v")
+
     def cdf(self, v: float) -> float:
         return 1.0 if v >= self.v else 0.0
 
@@ -142,6 +214,11 @@ class UniformSpeed(SpeedDistribution):
     v_max: float
     kind: str = field(default="uniform", init=False)
 
+    def __post_init__(self):
+        _store_speeds(self, "v_min", "v_max")
+        if self.v_max <= self.v_min:
+            raise ConfigError(["speed.v_max must exceed speed.v_min"])
+
     def cdf(self, v: float) -> float:
         if v <= self.v_min:
             return 0.0
@@ -170,6 +247,16 @@ class UniformSpeed(SpeedDistribution):
         return {"kind": "uniform", "v_min": self.v_min, "v_max": self.v_max}
 
 
+def _store_speeds(law: SpeedDistribution, *names: str) -> None:
+    """Store each named speed of a frozen law as a float; reject the law unless all are valid."""
+    problems: list[str] = []
+    for name in names:
+        speed = _real(problems, f"speed.{name}", getattr(law, name), _AT_LEAST_0)
+        object.__setattr__(law, name, speed)
+    if problems:
+        raise ConfigError(problems)
+
+
 class TabulatedSpeed(SpeedDistribution):
     """Piecewise-linear density given as (speed, density) rows.
 
@@ -181,7 +268,10 @@ class TabulatedSpeed(SpeedDistribution):
     kind = "tabulated"
 
     def __init__(self, table):
-        rows = np.array(table, dtype=float)
+        try:
+            rows = np.array(table, dtype=float)
+        except (TypeError, ValueError):
+            rows = np.empty(0)  # not numbers: reported as not a table below
         if rows.ndim != 2 or rows.shape[1] != 2 or rows.shape[0] < 2:
             raise ConfigError(["speed.table must be a list of [v, pdf] rows (>= 2 rows)"])
         speeds = rows[:, 0]
@@ -274,22 +364,8 @@ def speed_from_dict(d: dict) -> SpeedDistribution:
     missing = _SPEED_KEYS[kind] - set(d)
     if missing:
         raise ConfigError([f"missing speed keys: {sorted(missing)}"])
-    if kind == "fixed":
-        v = float(d["v"])
-        if v < 0:
-            raise ConfigError(["speed.v must be >= 0"])
-        return FixedSpeed(v)
-    if kind == "uniform":
-        lo, hi = float(d["v_min"]), float(d["v_max"])
-        problems = []
-        if lo < 0:
-            problems.append("speed.v_min must be >= 0")
-        if hi <= lo:
-            problems.append("speed.v_max must exceed speed.v_min")
-        if problems:
-            raise ConfigError(problems)
-        return UniformSpeed(lo, hi)
-    return TabulatedSpeed(d["table"])
+    law = {"fixed": FixedSpeed, "uniform": UniformSpeed, "tabulated": TabulatedSpeed}[kind]
+    return law(**{key: d[key] for key in _SPEED_KEYS[kind] - {"kind"}})
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +460,9 @@ class ValidatedScenario:
     seed: int
 
 
+_CONFIG_KEYS = {"lambda" if f.name == "lam" else f.name for f in fields(ScenarioConfig)}
+
+
 def config_from_dict(raw: dict) -> ScenarioConfig:
     """Build a raw config from a flat dict, rejecting unknown keys."""
     if not isinstance(raw, dict):
@@ -404,184 +483,101 @@ def load_config(path: str | Path) -> ScenarioConfig:
     return config_from_dict(raw)
 
 
-def _check_number(problems, name, value, *, positive=False, nonneg=False):
-    if value is None:
-        problems.append(f"{name} is required")
-        return None
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        problems.append(f"{name} must be a number")
-        return None
-    if not math.isfinite(x):
-        problems.append(f"{name} must be finite")
-        return None
-    if positive and x <= 0:
-        problems.append(f"{name} must be > 0")
-        return None
-    if nonneg and x < 0:
-        problems.append(f"{name} must be >= 0")
-        return None
-    return x
-
-
-def _check_int(problems, name, value, *, minimum=None, maximum=None):
-    if value is None:
-        problems.append(f"{name} is required")
-        return None
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or (isinstance(value, float) and float(value).is_integer())
-    ):
-        problems.append(f"{name} must be an integer")
-        return None
-    x = int(value)
-    if minimum is not None and x < minimum:
-        problems.append(f"{name} must be >= {minimum}")
-        return None
-    if maximum is not None and x > maximum:
-        problems.append(f"{name} must be <= {maximum}")
-        return None
-    return x
-
-
 def validate(config: ScenarioConfig | ValidatedScenario) -> ValidatedScenario:
-    """Check every invariant and normalize; idempotent on validated input.
+    """Check a scenario and return it in linear units; idempotent on validated input.
 
-    Raises :class:`ConfigError` listing all violated constraints by field
-    name, not just the first.
+    Both kinds of input go through the one scenario checker, ``_scenario``.
+    A raw config first has its footprint radii resolved (as given, or from
+    the beam angles) and its threshold converted from dB; nothing else is
+    specific to it.  Raises :class:`ConfigError` listing every violated
+    constraint by field name, not just the first.
     """
     if isinstance(config, ValidatedScenario):
-        return _revalidate(config)
-
+        return _scenario(_fields(config), [])
     problems: list[str] = []
+    values = {f.name: getattr(config, f.name) for f in fields(config)
+              if f.name not in ("r_in", "r_out")}
+    values["lambda"] = config.lam
+    values |= _radii(problems, config)
+    threshold_db = _real(problems, "threshold_db", config.threshold_db)
+    if threshold_db is not None:
+        try:
+            values["threshold"] = db_to_linear(threshold_db)
+        except OverflowError:
+            values["threshold"] = math.inf  # reported as not finite
+    return _scenario(values, problems)
 
-    lam = _check_number(problems, "lambda", config.lam, nonneg=True)
-    p_mobile = _check_number(problems, "p_mobile", config.p_mobile)
-    if p_mobile is not None and not (0.0 <= p_mobile <= 1.0):
-        problems.append("p_mobile must lie in [0, 1]")
-        p_mobile = None
-    height = _check_number(problems, "height", config.height, positive=True)
-    alpha = _check_number(problems, "alpha", config.alpha)
-    if alpha is not None and alpha <= 2.0:
-        problems.append("alpha must exceed 2")
-        alpha = None
-    noise = _check_number(problems, "noise", config.noise, nonneg=True)
-    k = _check_int(problems, "k", config.k, minimum=1, maximum=8)
-    omega = _check_number(problems, "omega", config.omega, positive=True)
-    g_main = _check_number(problems, "g_main", config.g_main, positive=True)
-    g_side = _check_number(problems, "g_side", config.g_side, nonneg=True)
+
+def _radii(problems: list[str], config: ScenarioConfig) -> dict:
+    """A raw config's footprint radii: as given, from the beam angles, or both if they agree.
+
+    Radii that cannot be resolved are left out, with the reason in ``problems``.
+    """
+    given = {"r_in": config.r_in, "r_out": config.r_out}
+    have_radii = any(r is not None for r in given.values())
+    if config.theta_m_deg is None and config.theta_s_deg is None:
+        if not have_radii:
+            problems.append("either (r_in, r_out) or (theta_m_deg, theta_s_deg) is required")
+        return given if have_radii else {}
+    th_m = _real(problems, "theta_m_deg", config.theta_m_deg, _ABOVE_0)
+    th_s = _real(problems, "theta_s_deg", config.theta_s_deg, _ABOVE_0)
+    height = _real([], "height", config.height, _REAL_RULES["height"])  # the checker reports it
+    implied = {}
+    if th_m is not None and th_s is not None:
+        if not th_m < th_s < 90.0:
+            problems.append("angles must satisfy 0 < theta_m_deg < theta_s_deg < 90")
+        elif height is not None:
+            implied = {"r_in": height * math.tan(math.radians(th_m)),
+                       "r_out": height * math.tan(math.radians(th_s))}
+    if not have_radii:
+        return implied
+    for name, a in implied.items():
+        r = _real([], name, given[name], _REAL_RULES[name])  # the checker reports it
+        if r is not None and abs(r - a) > 1e-9 * max(abs(r), abs(a)):
+            problems.append(f"{name}={r!r} conflicts with the supplied angles (implies {a!r})")
+    return given
+
+
+def _scenario(values: dict, problems: list[str]) -> ValidatedScenario:
+    """Check a scenario's fields and build it: the one place each field rule is applied.
+
+    ``values`` holds the fields in linear units under the keys
+    :func:`scenario_to_dict` writes, ``speed`` as a law or its dict; other
+    keys are ignored.  A real field left out was already reported in
+    ``problems``, the violations found before.  Every violation is raised
+    together in one :class:`ConfigError`.
+    """
+    got = {}
+    for name, rule in _REAL_RULES.items():
+        if name in values:
+            got[name] = _real(problems, name, values[name], rule)
+    for name, (lo, hi) in _INTEGER_RANGES.items():
+        if values[name] is not None or name != "m_initial":
+            got[name] = _integer(problems, name, values[name], lo, hi)
+    g_main, g_side, r_in, r_out = (got.get(name) for name in ("g_main", "g_side", "r_in", "r_out"))
     if g_main is not None and g_side is not None and g_side > g_main:
         problems.append("g_side must not exceed g_main")
-
-    r_in, r_out = _resolve_radii(problems, config, height)
-
-    speed = None
-    if config.speed is None:
+    if r_in is not None and r_out is not None and r_in >= r_out:
+        problems.append("r_in must be < r_out")
+    speed = values["speed"]
+    if speed is None:
         problems.append("speed is required")
-    else:
+    elif not isinstance(speed, SpeedDistribution):
         try:
-            speed = (
-                config.speed
-                if isinstance(config.speed, SpeedDistribution)
-                else speed_from_dict(config.speed)
-            )
+            speed = speed_from_dict(speed)
         except ConfigError as exc:
             problems.extend(exc.violations)
-
-    t_gap = _check_number(problems, "t_gap", config.t_gap, nonneg=True)
-    threshold_db = _check_number(problems, "threshold_db", config.threshold_db)
-    m_initial = None
-    if config.m_initial is not None:
-        m_initial = _check_int(problems, "m_initial", config.m_initial, minimum=0)
-    replications = _check_int(problems, "replications", config.replications, minimum=1)
-    seed = _check_int(problems, "seed", config.seed, minimum=0)
-    if seed is not None and seed > 2**64 - 1:
-        problems.append("seed must fit in 64 bits")
-        seed = None
-
     if problems:
         raise ConfigError(problems)
-
     params = NetworkParams(
-        lam=lam,
-        p_mobile=p_mobile,
-        height=height,
-        alpha=alpha,
-        noise=noise,
-        fading=FadingParams(k=k, omega=omega),
+        lam=got["lambda"], p_mobile=got["p_mobile"], height=got["height"], alpha=got["alpha"],
+        noise=got["noise"], fading=FadingParams(k=got["k"], omega=got["omega"]),
         antenna=AntennaPattern(g_main=g_main, g_side=g_side, r_in=r_in, r_out=r_out),
     )
     return ValidatedScenario(
-        params=params,
-        speed=speed,
-        t_gap=t_gap,
-        threshold=db_to_linear(threshold_db),
-        m_initial=m_initial,
-        replications=replications,
-        seed=seed,
+        params=params, speed=speed, t_gap=got["t_gap"], threshold=got["threshold"],
+        m_initial=got.get("m_initial"), replications=got["replications"], seed=got["seed"],
     )
-
-
-def _resolve_radii(problems, config: ScenarioConfig, height):
-    """Footprint radii from r_in/r_out or tilt angles; both must agree."""
-    r_in = r_out = None
-    have_radii = config.r_in is not None or config.r_out is not None
-    have_angles = config.theta_m_deg is not None or config.theta_s_deg is not None
-    if not have_radii and not have_angles:
-        problems.append("either (r_in, r_out) or (theta_m_deg, theta_s_deg) is required")
-        return None, None
-    if have_radii:
-        r_in = _check_number(problems, "r_in", config.r_in, positive=True)
-        r_out = _check_number(problems, "r_out", config.r_out, positive=True)
-    if have_angles:
-        th_m = _check_number(problems, "theta_m_deg", config.theta_m_deg, positive=True)
-        th_s = _check_number(problems, "theta_s_deg", config.theta_s_deg, positive=True)
-        ok_angles = th_m is not None and th_s is not None
-        if ok_angles and not (th_m < th_s < 90.0):
-            problems.append("angles must satisfy 0 < theta_m_deg < theta_s_deg < 90")
-            ok_angles = False
-        if ok_angles and height is not None:
-            a_in = height * math.tan(math.radians(th_m))
-            a_out = height * math.tan(math.radians(th_s))
-            if have_radii:
-                for name, r, a in (("r_in", r_in, a_in), ("r_out", r_out, a_out)):
-                    if r is not None and abs(r - a) > 1e-9 * max(abs(r), abs(a)):
-                        problems.append(
-                            f"{name}={r!r} conflicts with the supplied angles (implies {a!r})"
-                        )
-            else:
-                r_in, r_out = a_in, a_out
-    if r_in is not None and r_out is not None and r_in >= r_out:
-        problems.append("r_in must be < r_out")
-    return r_in, r_out
-
-
-def _revalidate(scenario: ValidatedScenario) -> ValidatedScenario:
-    p, ant = scenario.params, scenario.params.antenna
-    problems = [f"{name} must be finite" for name, x in scenario_to_dict(scenario).items()
-                if isinstance(x, float) and not math.isfinite(x)]
-    checks = [
-        (p.lam >= 0, "lambda must be >= 0"),
-        (0.0 <= p.p_mobile <= 1.0, "p_mobile must lie in [0, 1]"),
-        (p.height > 0, "height must be > 0"),
-        (p.alpha > 2, "alpha must exceed 2"),
-        (p.noise >= 0, "noise must be >= 0"),
-        (isinstance(p.fading.k, int) and 1 <= p.fading.k <= 8, "k must be an integer in [1, 8]"),
-        (p.fading.omega > 0, "omega must be > 0"),
-        (ant.g_main > 0, "g_main must be > 0"),
-        (0 <= ant.g_side <= ant.g_main, "g_side must lie in [0, g_main]"),
-        (0 < ant.r_in < ant.r_out, "r_in must be < r_out"),
-        (scenario.t_gap >= 0, "t_gap must be >= 0"),
-        (scenario.threshold > 0, "threshold must be > 0"),
-        (scenario.replications >= 1, "replications must be >= 1"),
-        (scenario.seed >= 0, "seed must be >= 0"),
-    ]
-    problems += [msg for ok, msg in checks if not ok]
-    if scenario.m_initial is not None and scenario.m_initial < 0:
-        problems.append("m_initial must be >= 0")
-    if problems:
-        raise ConfigError(problems)
-    return scenario
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +585,8 @@ def _revalidate(scenario: ValidatedScenario) -> ValidatedScenario:
 # ---------------------------------------------------------------------------
 
 
-def scenario_to_dict(scenario: ValidatedScenario) -> dict:
+def _fields(scenario: ValidatedScenario) -> dict:
+    """A scenario's fields under its serialized keys, with ``speed`` the law itself."""
     p = scenario.params
     return {
         "lambda": p.lam,
@@ -603,7 +600,7 @@ def scenario_to_dict(scenario: ValidatedScenario) -> dict:
         "g_side": p.antenna.g_side,
         "r_in": p.antenna.r_in,
         "r_out": p.antenna.r_out,
-        "speed": scenario.speed.to_dict(),
+        "speed": scenario.speed,
         "t_gap": scenario.t_gap,
         "threshold": scenario.threshold,
         "m_initial": scenario.m_initial,
@@ -612,43 +609,21 @@ def scenario_to_dict(scenario: ValidatedScenario) -> dict:
     }
 
 
+def scenario_to_dict(scenario: ValidatedScenario) -> dict:
+    return {**_fields(scenario), "speed": scenario.speed.to_dict()}
+
+
 def scenario_from_dict(d: dict) -> ValidatedScenario:
     """Inverse of :func:`scenario_to_dict`; threshold is already linear."""
-    expected = {
-        "lambda", "p_mobile", "height", "alpha", "noise", "k", "omega",
-        "g_main", "g_side", "r_in", "r_out", "speed", "t_gap", "threshold",
-        "m_initial", "replications", "seed",
-    }
-    unknown = set(d) - expected
+    if not isinstance(d, dict):
+        raise ConfigError(["scenario must be a JSON object"])
+    unknown = set(d) - _SCENARIO_KEYS
     if unknown:
         raise ConfigError([f"unknown scenario keys: {sorted(unknown)}"])
-    missing = expected - set(d)
+    missing = _SCENARIO_KEYS - set(d)
     if missing:
         raise ConfigError([f"missing scenario keys: {sorted(missing)}"])
-    params = NetworkParams(
-        lam=float(d["lambda"]),
-        p_mobile=float(d["p_mobile"]),
-        height=float(d["height"]),
-        alpha=float(d["alpha"]),
-        noise=float(d["noise"]),
-        fading=FadingParams(k=int(d["k"]), omega=float(d["omega"])),
-        antenna=AntennaPattern(
-            g_main=float(d["g_main"]),
-            g_side=float(d["g_side"]),
-            r_in=float(d["r_in"]),
-            r_out=float(d["r_out"]),
-        ),
-    )
-    scenario = ValidatedScenario(
-        params=params,
-        speed=speed_from_dict(d["speed"]),
-        t_gap=float(d["t_gap"]),
-        threshold=float(d["threshold"]),
-        m_initial=None if d["m_initial"] is None else int(d["m_initial"]),
-        replications=int(d["replications"]),
-        seed=int(d["seed"]),
-    )
-    return _revalidate(scenario)
+    return _scenario(d, [])
 
 
 def scenario_to_json(scenario: ValidatedScenario) -> str:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -34,12 +35,11 @@ _JOINT = 1
 _PMF = 2
 _COND_SUCCESS = 3
 _ARR_DEP = 4
-_MASK64 = (1 << 64) - 1
 _BLOCK = 256  # replications per Philox stream
 
 
 def _block_stream(seed: int, purpose: int, block: int) -> np.random.Generator:
-    key = np.array([seed & _MASK64, purpose], dtype=np.uint64)
+    key = np.array([seed, purpose], dtype=np.uint64)
     counter = np.array([0, 0, 0, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
@@ -288,6 +288,8 @@ def shared_pool(workers: int):
 
 def _accumulate(kernel: Callable, args: tuple, reps: int, seed: int, purpose: int,
                 workers: int, width: int) -> np.ndarray:
+    if not 0 <= operator.index(seed) < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")
     blocks = -(-reps // _BLOCK)
     chunks = min(workers, blocks)
     if chunks <= 1:

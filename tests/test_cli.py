@@ -338,6 +338,19 @@ def test_missing_config_file_exits_2(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--seed", "18446744073709551616"), ("--seed", "-1"), ("--replications", "0"),
+])
+def test_out_of_range_override_exits_2(runner, config_path, tmp_path, flag, value):
+    out = tmp_path / "never"
+    result = runner.invoke(main, [
+        "joint-success", "--config", config_path, "--sweep-tdb", "-10",
+        f"{flag}={value}", "--out", str(out)])
+    assert result.exit_code == 2
+    assert f"error: {flag[2:]} must be" in result.output
+    assert not out.exists()
+
+
 def test_negative_workers_exits_2(runner, config_path):
     result = runner.invoke(main, [
         "retransmission", "--config", config_path, "--workers", "0"])

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -83,6 +84,11 @@ def test_threshold_converted_once():
     scenario = baseline_scenario(threshold_db=-10.0)
     assert scenario.threshold == pytest.approx(0.1, rel=1e-15)
     assert baseline_scenario(threshold_db=0.0).threshold == 1.0
+    # thresholds in dB whose linear value overflows or underflows
+    with pytest.raises(ConfigError, match="threshold must be finite"):
+        validate(config_from_dict(raw(threshold_db=4000.0)))
+    with pytest.raises(ConfigError, match="threshold must be > 0"):
+        validate(config_from_dict(raw(threshold_db=-4000.0)))
 
 
 def test_negative_time_gap_rejected():
@@ -90,19 +96,61 @@ def test_negative_time_gap_rejected():
         validate(config_from_dict(raw(t_gap=-1.0)))
 
 
-@pytest.mark.parametrize("field", [
+_REAL_FIELDS = [
     "lambda", "p_mobile", "height", "alpha", "noise", "omega",
     "g_main", "g_side", "r_in", "r_out", "t_gap", "threshold",
-])
+]
+# (bad value, start of the message naming the field) per serialized field;
+# no real field of a scenario may be negative
+_BAD_VALUES = {
+    **{name: [(math.inf, "must be finite"), (math.nan, "must be finite"),
+              (10**400, "must be finite"), (True, "must be a number"), ("1", "must be a number"),
+              (-1.0, "must")]
+       for name in _REAL_FIELDS},
+    "k": [(2.7, "must be an integer"), (True, "must be an integer"),
+          (math.inf, "must be an integer"), (0, "must be >= 1"), (9, "must be <= 8")],
+    "m_initial": [(3.9, "must be an integer"), (True, "must be an integer"), (-1, "must be >= 0")],
+    "replications": [(1000.5, "must be an integer"), (True, "must be an integer"),
+                     (0, "must be >= 1")],
+    "seed": [(-0.5, "must be an integer"), (True, "must be an integer"), (-1, "must be >= 0"),
+             (2**64, "must be <= 18446744073709551615")],
+}
+
+
+def _with_field(scenario, name, value):
+    """``scenario`` with the field serialized as ``name`` set to ``value``, unchecked."""
+    p = scenario.params
+    if name in ("k", "omega"):
+        return replace(scenario, params=replace(p, fading=replace(p.fading, **{name: value})))
+    if name in ("g_main", "g_side", "r_in", "r_out"):
+        return replace(scenario, params=replace(p, antenna=replace(p.antenna, **{name: value})))
+    if name in ("lambda", "p_mobile", "height", "alpha", "noise"):
+        return replace(scenario, params=replace(p, **{"lam" if name == "lambda" else name: value}))
+    return replace(scenario, **{name: value})
+
+
+@pytest.mark.parametrize("field", [*_REAL_FIELDS, "k", "m_initial", "replications", "seed"])
 def test_serialized_form_rejects_infinite_fields(field):
-    # the serialized form bypasses validate(ScenarioConfig), which already
-    # rejects these; "Infinity" is how json writes float("inf")
-    payload = json.loads(scenario_to_json(baseline_scenario()))
-    payload[field] = math.inf
-    text = json.dumps(payload)
-    assert "Infinity" in text
-    with pytest.raises(ConfigError, match=f"{field} must be finite"):
-        scenario_from_json(text)
+    # a raw config, the serialized form ("Infinity" is how json writes
+    # float("inf")) and a validated scenario with one field replaced all go
+    # through the one checker, so each rejects every bad value by name
+    scenario = baseline_scenario()
+    payload = json.loads(scenario_to_json(scenario))
+    raw_name = "threshold_db" if field == "threshold" else field
+    for bad, message in _BAD_VALUES[field]:
+        text = json.dumps({**payload, field: bad})
+        assert bad is not math.inf or "Infinity" in text
+        paths = [
+            (field, lambda: scenario_from_json(text)),
+            (field, lambda: validate(_with_field(scenario, field, bad))),
+        ]
+        if not (raw_name == "threshold_db" and bad == -1.0):  # -1 dB is a valid threshold
+            paths.append((raw_name, lambda: validate(config_from_dict(raw(**{raw_name: bad})))))
+        for name, call in paths:
+            with pytest.raises(ConfigError) as exc_info:
+                call()
+            assert any(v.startswith(f"{name} {message}") for v in exc_info.value.violations), (
+                name, bad, exc_info.value.violations)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +264,22 @@ def test_uniform_speed_invalid_range():
         speed_from_dict({"kind": "uniform", "v_min": 10.0, "v_max": 10.0})
     with pytest.raises(ConfigError):
         speed_from_dict({"kind": "uniform", "v_min": -1.0, "v_max": 5.0})
+    # the laws check themselves, so no path builds a bad one
+    for v in (math.inf, math.nan, -1.0, True, "10"):
+        with pytest.raises(ConfigError, match="speed.v must"):
+            FixedSpeed(v)
+        with pytest.raises(ConfigError, match="speed.v must"):
+            speed_from_dict({"kind": "fixed", "v": v})
+        with pytest.raises(ConfigError, match="speed.v_min must"):
+            UniformSpeed(v, 15.0)
+        with pytest.raises(ConfigError, match="speed.v_max must"):
+            UniformSpeed(5.0, v)
+    for lo, hi in ((5.0, 1.0), (5.0, 5.0)):
+        with pytest.raises(ConfigError, match="speed.v_max must exceed speed.v_min"):
+            UniformSpeed(lo, hi)
+    with pytest.raises(ConfigError, match="speed.v must be >= 0"):
+        validate(replace(baseline_scenario(), speed=FixedSpeed(-1.0)))
+    assert FixedSpeed(10) == FixedSpeed(10.0) and type(FixedSpeed(10).v) is float
 
 
 def test_tabulated_speed_renormalizes_and_logs(caplog):
@@ -235,6 +299,9 @@ def test_tabulated_speed_requires_increasing_grid():
         TabulatedSpeed([[0.0, -0.5], [1.0, 2.5]])
     with pytest.raises(ConfigError):
         TabulatedSpeed([[0.0, 0.0], [1.0, 0.0]])
+    for table in ([[0.0, "x"], [1.0, 1.0]], "abc", [[0.0, 1.0], [1.0]]):
+        with pytest.raises(ConfigError, match="speed.table must be a list"):
+            TabulatedSpeed(table)
 
 
 def test_tabulated_speed_cdf_is_exact_piecewise_quadratic():

@@ -117,6 +117,13 @@ def test_seed_changes_the_stream(base):
     assert a.joint.estimate != b.joint.estimate
 
 
+@pytest.mark.parametrize("seed", [2**64, -(2**64), -1])
+def test_seed_outside_64_bits_rejected(base, seed):
+    # such seeds used to be masked to 64 bits and alias seeds in range
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+        estimate_joint_success(base, seed=seed)
+
+
 def test_rerun_is_bit_identical(base):
     a = estimate_joint_success(base)
     b = estimate_joint_success(base)
