@@ -37,8 +37,8 @@ instants):
   radial integral of the rank-one (k+1) x (k+1) array x (D - a1 b1^T), D
   one on its leading 2 x 2 block, holds every exponent at once: [1:, 1:]
   is the joint one, [1:, :1] that of the time-0 marginal (s2 = 0) and
-  [:1, 1:] that of the time-t marginal (s1 = 0).  Jet arithmetic from
-  :mod:`uavtc.numerics` is needed only for the final exponential.
+  [:1, 1:] that of the time-t marginal (s1 = 0).  The final exponential of
+  that coefficient array is :func:`uavtc.numerics.jet_exp`.
 
 Every quantity is linear in the speed law.  Each is computed for one fixed
 speed, as a closed form or as one radial integral whose direction average
@@ -52,12 +52,11 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mobility import check_gap
+from .mobility import check_count, check_gap, check_n_max, check_threshold
 from .model import NetworkParams, SpeedDistribution
 from .numerics import (
     Jet2,
@@ -67,7 +66,7 @@ from .numerics import (
 )
 
 # Bound here only because perfbench/spans.py patches them by these names;
-# ROADMAP direction 4 moves that instrumentation into the library.
+# ROADMAP direction 1 moves that instrumentation into the library.
 from .mobility import containment_cdf  # noqa: F401
 from .numerics import (  # noqa: F401
     integrate_detailed, integrate_jet, integrate_jet_detailed, jet_powneg)
@@ -168,8 +167,7 @@ def footprint_egress_integral(params: NetworkParams, speed: SpeedDistribution, t
 
 def mean_departures(m: int, params: NetworkParams, speed: SpeedDistribution, t: float) -> float:
     """Mean number of the m initial in-footprint nodes that leave by t."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    m = check_count(m)
     stay = footprint_ingress_integral(params, speed, t)
     return m * params.p_mobile * (1.0 - stay)
 
@@ -203,11 +201,7 @@ def _binomial_pmf(m: int, p: float) -> np.ndarray:
 
 
 def _limit(cap: int, n_max: int | None) -> int:
-    if n_max is None:
-        return cap
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max!r}")
-    return n_max
+    return cap if n_max is None else check_n_max(n_max)
 
 
 def _truncated(probs: np.ndarray, m: int, t: float, n_max: int | None) -> InterfererPmf:
@@ -234,12 +228,7 @@ def conditional_interferer_pmf(
     whose cumulative mass exceeds 1 - 1e-9, capped at
     m + ceil(A + 12*sqrt(A)) + 20 where A is the mean arrival count.
     """
-    try:
-        m = operator.index(m)
-    except TypeError:
-        raise ValueError(f"m must be a non-negative integer, got {m!r}") from None
-    if m < 0:
-        raise ValueError(f"m must be a non-negative integer, got {m!r}")
+    m = check_count(m)
     stay_in = footprint_ingress_integral(params, speed, t)
     arrivals = _arrival_mean(params, stay_in)
     limit = _limit(m + math.ceil(arrivals + 12.0 * math.sqrt(arrivals)) + 20, n_max)
@@ -429,8 +418,7 @@ def _probability(exponent: np.ndarray, noise: float, instants: int) -> float:
 def _success_detailed(params, speed, t, threshold):
     """Joint, time-0 and time-t success at gap t, and the quadrature error bound."""
     check_gap(t)
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
+    check_threshold(threshold)
     exponent, err = _exponent_detailed(params, speed, t, threshold)
     c = threshold * params.height**params.alpha / (params.fading.omega * params.antenna.g_main)
     noise = c * params.noise

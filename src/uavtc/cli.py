@@ -361,8 +361,9 @@ def _build_spec(kind, config_path, seed, replications, workers, out_dir, sweep_t
     violations = []
     if t_values is not None and not all(0 <= t < math.inf for t in t_values):
         violations.append(f"--sweep-t values must be finite and >= 0, got {sweep_t!r}")
-    if tdb_values is not None and not all(math.isfinite(tdb) for tdb in tdb_values):
-        violations.append(f"--sweep-tdb values must be finite, got {sweep_tdb!r}")
+    if tdb_values is not None and not all(0 < db_to_linear(tdb) < math.inf for tdb in tdb_values):
+        violations.append(
+            f"--sweep-tdb values must be finite with a linear threshold > 0, got {sweep_tdb!r}")
     if m_values is not None and any(m < 0 for m in m_values):
         violations.append("--m values must be >= 0")
     if violations:

@@ -48,7 +48,11 @@ DEFAULT_TDB_GRID = tuple(float(db) for db in range(-20, 12, 2))
 
 
 def db_to_linear(value_db: float) -> float:
-    return 10.0 ** (value_db / 10.0)
+    """10^(dB/10); inf where that overflows a float."""
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def linear_to_db(value: float) -> float:
@@ -501,10 +505,7 @@ def validate(config: ScenarioConfig | ValidatedScenario) -> ValidatedScenario:
     values |= _radii(problems, config)
     threshold_db = _real(problems, "threshold_db", config.threshold_db)
     if threshold_db is not None:
-        try:
-            values["threshold"] = db_to_linear(threshold_db)
-        except OverflowError:
-            values["threshold"] = math.inf  # reported as not finite
+        values["threshold"] = db_to_linear(threshold_db)  # inf is reported as not finite
     return _scenario(values, problems)
 
 

@@ -1,13 +1,13 @@
-"""Numerical substrate: adaptive Gauss-Kronrod quadrature and truncated
-bivariate Taylor (jet) arithmetic.
+"""Numerical substrate: adaptive Gauss-Kronrod quadrature and the exponential
+of a truncated bivariate Taylor series.
 
-A jet stores the Taylor coefficients of a two-variable function around a fixed
-expansion point, truncated at a per-variable degree.  Arithmetic on jets
-(add, multiply, negative integer powers, exp) propagates derivatives exactly
-up to the truncation order: coefficient c[i][j] equals the (i,j) mixed
-partial divided by i!*j!.  The success-probability pipeline builds the
-coefficients of its exponent directly and uses jets for the final
-exponential.
+The success-probability pipeline builds the Taylor coefficients of its
+exponent, around (-1, -1), as an array in closed form and only
+exponentiates it: ``jet_exp`` maps the coefficient array of a function to
+that of its exponential, truncated at the same per-variable degrees, so
+c[i][j] stays the (i,j) mixed partial divided by i!*j!.  ``Jet2`` wraps
+such an array immutably.  ``jet_powneg`` raises an array to a negative
+integer power.
 
 The quadrature is a 15-point Kronrod rule with embedded 7-point Gauss rule,
 refined in rounds: each round bisects the segments with the largest error
@@ -33,12 +33,6 @@ __all__ = [
     "QuadratureSpec",
     "QuadratureError",
     "SingularJetError",
-    "jet_const",
-    "jet_var1",
-    "jet_var2",
-    "jet_add",
-    "jet_scale",
-    "jet_mul",
     "jet_powneg",
     "jet_exp",
     "integrate",
@@ -69,20 +63,19 @@ class QuadratureError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Bivariate truncated Taylor arithmetic
+# Truncated bivariate Taylor series
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Jet2:
-    """Taylor coefficients of a two-variable function around ``point``.
+    """Taylor coefficients of a two-variable function around (-1, -1).
 
-    ``coeffs[i, j]`` multiplies ``(s1 - a1)**i * (s2 - a2)**j``; the array
+    ``coeffs[i, j]`` multiplies ``(s1 + 1)**i * (s2 + 1)**j``; the array
     shape fixes the truncation orders.  Instances are immutable.
     """
 
     coeffs: np.ndarray
-    point: tuple[float, float] = (-1.0, -1.0)
 
     def __post_init__(self):
         c = np.array(self.coeffs, dtype=float)
@@ -90,64 +83,6 @@ class Jet2:
             raise ValueError("jet coefficients must be a 2-d array")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "point", (float(self.point[0]), float(self.point[1])))
-
-    @property
-    def orders(self) -> tuple[int, int]:
-        return (self.coeffs.shape[0] - 1, self.coeffs.shape[1] - 1)
-
-    def eval(self, s1: float, s2: float) -> float:
-        """Evaluate the truncated polynomial at (s1, s2)."""
-        d1 = s1 - self.point[0]
-        d2 = s2 - self.point[1]
-        n1, n2 = self.coeffs.shape
-        pow1 = d1 ** np.arange(n1)
-        pow2 = d2 ** np.arange(n2)
-        return float(pow1 @ self.coeffs @ pow2)
-
-
-def _check_compatible(a: Jet2, b: Jet2) -> None:
-    if a.coeffs.shape != b.coeffs.shape:
-        raise ValueError(
-            f"jet order mismatch: {a.orders} vs {b.orders}"
-        )
-    if a.point != b.point:
-        raise ValueError(
-            f"jet expansion point mismatch: {a.point} vs {b.point}"
-        )
-
-
-def jet_const(value: float, orders: tuple[int, int], point: tuple[float, float] = (-1.0, -1.0)) -> Jet2:
-    c = np.zeros((orders[0] + 1, orders[1] + 1))
-    c[0, 0] = value
-    return Jet2(c, point)
-
-
-def jet_var1(orders: tuple[int, int], point: tuple[float, float] = (-1.0, -1.0)) -> Jet2:
-    """Jet of the coordinate function (s1, s2) -> s1."""
-    c = np.zeros((orders[0] + 1, orders[1] + 1))
-    c[0, 0] = point[0]
-    if orders[0] >= 1:
-        c[1, 0] = 1.0
-    return Jet2(c, point)
-
-
-def jet_var2(orders: tuple[int, int], point: tuple[float, float] = (-1.0, -1.0)) -> Jet2:
-    """Jet of the coordinate function (s1, s2) -> s2."""
-    c = np.zeros((orders[0] + 1, orders[1] + 1))
-    c[0, 0] = point[1]
-    if orders[1] >= 1:
-        c[0, 1] = 1.0
-    return Jet2(c, point)
-
-
-def jet_add(a: Jet2, b: Jet2) -> Jet2:
-    _check_compatible(a, b)
-    return Jet2(a.coeffs + b.coeffs, a.point)
-
-
-def jet_scale(a: Jet2, factor: float) -> Jet2:
-    return Jet2(a.coeffs * float(factor), a.point)
 
 
 def _mul_trunc(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -160,11 +95,6 @@ def _mul_trunc(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             if aij != 0.0:
                 out[i:, j:] += aij * b[: n1 - i, : n2 - j]
     return out
-
-
-def jet_mul(a: Jet2, b: Jet2) -> Jet2:
-    _check_compatible(a, b)
-    return Jet2(_mul_trunc(a.coeffs, b.coeffs), a.point)
 
 
 def _recip_trunc(a: np.ndarray) -> np.ndarray:
@@ -210,7 +140,7 @@ def jet_powneg(a: Jet2, k: int) -> Jet2:
         e >>= 1
         if e:
             base = _mul_trunc(base, base)
-    return Jet2(result, a.point)
+    return Jet2(result)
 
 
 def _exp_trunc(a: np.ndarray) -> np.ndarray:
@@ -237,7 +167,7 @@ def _exp_trunc(a: np.ndarray) -> np.ndarray:
 
 
 def jet_exp(a: Jet2) -> Jet2:
-    return Jet2(_exp_trunc(a.coeffs), a.point)
+    return Jet2(_exp_trunc(a.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +350,13 @@ def integrate_jet_detailed(
 
     def coeff_fn(x: float) -> np.ndarray:
         jet = f(x)
-        if jet.coeffs.shape != template.coeffs.shape or jet.point != template.point:
+        if jet.coeffs.shape != template.coeffs.shape:
             raise ValueError("integrand returned jets with inconsistent layout")
         return jet.coeffs
 
     val, err = integrate_array_detailed(
         lambda xs: [coeff_fn(x) for x in xs], a, b, spec, points)
-    return Jet2(val, template.point), err
+    return Jet2(val), err
 
 
 def integrate_jet(

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .mobility import check_gap, displaced_distance
+from .mobility import check_count, check_gap, check_n_max, check_threshold, displaced_distance
 from .model import (
     DEFAULT_TDB_GRID, NetworkParams, SpeedDistribution, ValidatedScenario, db_to_linear)
 
@@ -148,8 +148,7 @@ def sample_conditioned(
     unconditioned arrivals; the ``m * size`` inner nodes of a block of
     ``size`` replications come first.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    m = check_count(m)
     check_gap(t)
     r0 = _footprint_radii(rng, m * size, params.antenna.r_out)
     owner = np.repeat(np.arange(size), m)
@@ -401,6 +400,7 @@ def estimate_conditional_pmf(
     """Empirical pmf of the second-instant count given m initial interferers."""
     from .analytic import InterfererPmf
 
+    check_n_max(n_max)
     seed = scenario.seed if seed is None else seed
     reps = scenario.replications
     acc = _accumulate(_pmf_kernel, (scenario, m, n_max), reps, seed, _PMF, workers, n_max + 2)
@@ -423,6 +423,8 @@ def estimate_conditional_success(
     if thresholds is None:
         thresholds = [db_to_linear(db) for db in DEFAULT_TDB_GRID]
     grid = np.asarray(list(thresholds), dtype=float)
+    for threshold in grid.tolist():
+        check_threshold(threshold)
     seed = scenario.seed if seed is None else seed
     reps = scenario.replications
     acc = _accumulate(

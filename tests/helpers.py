@@ -250,6 +250,18 @@ def richardson_mixed_partial(fn, i: int, j: int, h: float = 1e-2,
     return (4.0 * fine - coarse) / 3.0
 
 
+def linear_coeffs(orders: tuple[int, int], c0: float, c1: float = 0.0,
+                  c2: float = 0.0) -> np.ndarray:
+    """Taylor coefficients around (-1, -1) of c0 + c1*s1 + c2*s2, truncated at ``orders``."""
+    c = np.zeros((orders[0] + 1, orders[1] + 1))
+    c[0, 0] = c0 - c1 - c2
+    if orders[0] >= 1:
+        c[1, 0] = c1
+    if orders[1] >= 1:
+        c[0, 1] = c2
+    return c
+
+
 def forward_footprint_counts(lam: float, p_mobile: float, r_out: float, v_min: float,
                              v_max: float, t: float, n_reps: int, rng: np.random.Generator,
                              m: int | None = None) -> np.ndarray:

@@ -104,6 +104,21 @@ def test_success_rejects_bad_gaps(base, t):
         retransmission_report(base.params, base.speed, t, base.threshold)
 
 
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0])
+def test_success_rejects_bad_thresholds(base, threshold):
+    # nan and inf used to end in "integrand is not finite", naming no threshold
+    with pytest.raises(ValueError, match="threshold must be finite and >= 0, got"):
+        joint_success(base.params, base.speed, 1.0, threshold)
+    for which in ("time0", "timeT"):
+        with pytest.raises(ValueError, match="threshold must be finite and >= 0, got"):
+            marginal_success(base.params, base.speed, 1.0, threshold, which)
+
+
+def test_success_at_zero_threshold_is_one(base):
+    assert joint_success(base.params, base.speed, 1.0, 0.0) == 1.0
+    assert marginal_success(base.params, base.speed, 1.0, 0.0, "timeT") == 1.0
+
+
 @pytest.mark.parametrize("speed", [
     FixedSpeed(10.0),
     UniformSpeed(5.0, 15.0),
@@ -174,10 +189,13 @@ def test_pmf_accepts_numpy_integers(base):
     np.testing.assert_array_equal(via_numpy.probs, plain.probs)
 
 
-@pytest.mark.parametrize("m", [5.0, -1, "5"])
+@pytest.mark.parametrize("m", [5.0, 2.5, -1, "5"])
 def test_pmf_rejects_non_integer_counts(base, m):
     with pytest.raises(ValueError, match="non-negative integer"):
         conditional_interferer_pmf(m, base.params, base.speed, 1.0)
+    # mean_departures(2.5, ...) used to return 0.506
+    with pytest.raises(ValueError, match="m must be a non-negative integer"):
+        mean_departures(m, base.params, base.speed, 1.0)
 
 
 @pytest.mark.parametrize("m", [0, 1, 5, 15])
@@ -354,6 +372,25 @@ def test_noise_only_closed_form_gamma_shape_two():
     c = sc.threshold * p.height**p.alpha * p.noise / (p.fading.omega * p.antenna.g_main)
     expected = (math.exp(-c) * (1.0 + c)) ** 2
     assert joint_success(p, sc.speed, 1.0, sc.threshold) == pytest.approx(expected, abs=1e-10)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+def test_gamma_factor_coefficients_are_the_binomial_series(k):
+    # (1 - q s)^(-k) around s = -1 has coefficients C(k+i-1, i) (1+q)^(-k) (q/(1+q))^i
+    p = baseline_scenario(k=k).params
+    ant = p.antenna
+    threshold = 0.1
+    d2 = np.array([0.0, 0.25, 1.0, 0.99, 1.01, 4.0]) * ant.r_in ** 2
+    d2 = np.append(d2, [ant.r_out ** 2, 1.5 * ant.r_out ** 2])
+    h2 = p.height ** 2
+    gain = np.where(d2 <= ant.r_in ** 2, ant.g_main, np.where(d2 <= ant.r_out ** 2, ant.g_side, 0.0))
+    q = threshold / ant.g_main * gain * (h2 / (h2 + d2)) ** (p.alpha / 2.0)
+    got = analytic._Exponent(p, threshold).series(d2)
+    assert got.shape == (len(d2), k)
+    for n, qn in enumerate(q):
+        for i in range(k):
+            expect = math.comb(k + i - 1, i) * (1.0 + qn) ** -k * (qn / (1.0 + qn)) ** i
+            assert got[n, i] == pytest.approx(expect, rel=1e-12, abs=0.0)
 
 
 def test_exponent_jet_vanishes_without_interferers():

@@ -298,6 +298,8 @@ def test_empty_sweep_list_exits_2(runner, config_path, tmp_path):
     ("interferer-pmf", "--sweep-t=nan", "--sweep-t values must be finite and >= 0"),
     ("retransmission", "--sweep-t=1,inf", "--sweep-t values must be finite and >= 0"),
     ("joint-success", "--sweep-tdb=-10,nan", "--sweep-tdb values must be finite"),
+    ("joint-success", "--sweep-tdb=4000", "--sweep-tdb values must be finite"),
+    ("joint-success", "--sweep-tdb=-4000", "--sweep-tdb values must be finite"),
 ])
 def test_bad_sweep_value_exits_2(runner, config_path, tmp_path, command, flag, message):
     out = tmp_path / "never"

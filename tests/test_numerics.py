@@ -1,4 +1,4 @@
-"""Jet arithmetic and adaptive quadrature unit tests."""
+"""Truncated Taylor series and adaptive quadrature unit tests."""
 
 import math
 import re
@@ -18,40 +18,36 @@ from uavtc.numerics import (
     integrate_array_detailed,
     integrate_detailed,
     integrate_jet,
-    jet_add,
-    jet_const,
     jet_exp,
-    jet_mul,
     jet_powneg,
-    jet_scale,
-    jet_var1,
-    jet_var2,
 )
 
-from helpers import count_passes, richardson_mixed_partial, serial_heap_integrate
+from helpers import (
+    count_passes,
+    linear_coeffs,
+    richardson_mixed_partial,
+    serial_heap_integrate,
+)
+
+_mul = numerics._mul_trunc
+
+
+def _unit(shape):
+    one = np.zeros(shape)
+    one[0, 0] = 1.0
+    return one
 
 
 # ---------------------------------------------------------------------------
-# jet seeds and basic algebra
+# truncated products, powers and exponentials of coefficient arrays
 # ---------------------------------------------------------------------------
-
-
-def test_jet_seed_placement():
-    c = jet_const(5.0, (1, 1))
-    assert c.coeffs.tolist() == [[5.0, 0.0], [0.0, 0.0]]
-    v1 = jet_var1((1, 1))
-    assert v1.coeffs[0, 0] == -1.0 and v1.coeffs[1, 0] == 1.0
-    v2 = jet_var2((1, 1))
-    assert v2.coeffs[0, 0] == -1.0 and v2.coeffs[0, 1] == 1.0
 
 
 def test_jet_product_of_shifted_vars():
     # (1 + s~1) * (1 + s~2) where s~ are the centered coordinates
-    one = jet_const(1.0, (1, 1))
-    a = Jet2(one.coeffs + np.array([[0.0, 0.0], [1.0, 0.0]]))
-    b = Jet2(one.coeffs + np.array([[0.0, 1.0], [0.0, 0.0]]))
-    prod = jet_mul(a, b)
-    assert prod.coeffs.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+    a = np.array([[1.0, 0.0], [1.0, 0.0]])
+    b = np.array([[1.0, 1.0], [0.0, 0.0]])
+    assert _mul(a, b).tolist() == [[1.0, 1.0], [1.0, 1.0]]
 
 
 def _jets(orders=(2, 2), min_const=None):
@@ -69,33 +65,29 @@ def _jets(orders=(2, 2), min_const=None):
 
 @given(_jets(), _jets())
 def test_jet_mul_commutes(a, b):
-    ab, ba = jet_mul(a, b), jet_mul(b, a)
-    np.testing.assert_allclose(ab.coeffs, ba.coeffs, rtol=0, atol=1e-12)
+    ab, ba = _mul(a.coeffs, b.coeffs), _mul(b.coeffs, a.coeffs)
+    np.testing.assert_allclose(ab, ba, rtol=0, atol=1e-12)
 
 
 @given(_jets())
 def test_jet_mul_identity(a):
-    one = jet_const(1.0, a.orders)
-    np.testing.assert_array_equal(jet_mul(a, one).coeffs, a.coeffs)
+    one = _unit(a.coeffs.shape)
+    np.testing.assert_array_equal(_mul(a.coeffs, one), a.coeffs)
 
 
 @given(_jets(min_const=0.1))
 @settings(max_examples=200)
 def test_jet_powneg_times_power_is_one(a):
     inv = jet_powneg(a, 1)
-    prod = jet_mul(a, inv)
-    expect = np.zeros_like(prod.coeffs)
-    expect[0, 0] = 1.0
-    np.testing.assert_allclose(prod.coeffs, expect, rtol=0, atol=1e-9)
+    prod = _mul(a.coeffs, inv.coeffs)
+    np.testing.assert_allclose(prod, _unit(prod.shape), rtol=0, atol=1e-9)
 
 
 @given(_jets(orders=(1, 2)))
 @settings(max_examples=200)
 def test_jet_exp_of_negation_inverts(a):
-    prod = jet_mul(jet_exp(a), jet_exp(jet_scale(a, -1.0)))
-    expect = np.zeros_like(prod.coeffs)
-    expect[0, 0] = 1.0
-    np.testing.assert_allclose(prod.coeffs, expect, rtol=0, atol=1e-8)
+    prod = _mul(jet_exp(a).coeffs, jet_exp(Jet2(-a.coeffs)).coeffs)
+    np.testing.assert_allclose(prod, _unit(prod.shape), rtol=0, atol=1e-8)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
@@ -104,8 +96,7 @@ def test_jet_powneg_matches_binomial_series(k):
     # C(k-1+j, j) q^j (1 - q a)^(-(k+j)); the s2 direction stays constant.
     q, a = 0.37, -1.0
     orders = (4, 2)
-    base = jet_add(jet_const(1.0, orders), jet_scale(jet_var1(orders), -q))
-    jet = jet_powneg(base, k)
+    jet = jet_powneg(Jet2(linear_coeffs(orders, 1.0, -q)), k)
     for j in range(orders[0] + 1):
         expect = math.comb(k - 1 + j, j) * q**j * (1 - q * a) ** (-(k + j))
         assert jet.coeffs[j, 0] == pytest.approx(expect, rel=1e-12)
@@ -113,34 +104,19 @@ def test_jet_powneg_matches_binomial_series(k):
 
 
 def test_jet_powneg_rejects_vanishing_constant():
-    zero_const = jet_add(jet_var1((1, 1)), jet_const(1.0, (1, 1)))
+    zero_const = Jet2(linear_coeffs((1, 1), 1.0, 1.0))
     with pytest.raises(SingularJetError):
         jet_powneg(zero_const, 2)
-
-
-def test_jet_order_mismatch_rejected():
-    with pytest.raises(ValueError):
-        jet_add(jet_const(1.0, (1, 1)), jet_const(1.0, (2, 2)))
-
-
-def test_jet_eval_reconstructs_polynomial():
-    jet = Jet2(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    s1, s2 = -0.3, 0.7
-    d1, d2 = s1 + 1.0, s2 + 1.0
-    assert jet.eval(s1, s2) == pytest.approx(1 + 2 * d2 + 3 * d1 + 4 * d1 * d2)
 
 
 def test_jet_coefficients_match_finite_differences():
     # composed {+, *, ^(-k), exp} objective with known smooth scalar form
     orders = (2, 2)
-    s1, s2 = jet_var1(orders), jet_var2(orders)
-    one = jet_const(1.0, orders)
-
-    jet = jet_mul(
-        jet_exp(jet_add(jet_scale(s1, 0.3), jet_scale(s2, 0.2))),
-        jet_mul(
-            jet_powneg(jet_add(one, jet_scale(s1, -0.4)), 2),
-            jet_powneg(jet_add(one, jet_scale(s2, -0.25)), 3),
+    jet = _mul(
+        jet_exp(Jet2(linear_coeffs(orders, 0.0, 0.3, 0.2))).coeffs,
+        _mul(
+            jet_powneg(Jet2(linear_coeffs(orders, 1.0, -0.4)), 2).coeffs,
+            jet_powneg(Jet2(linear_coeffs(orders, 1.0, 0.0, -0.25)), 3).coeffs,
         ),
     )
 
@@ -152,7 +128,7 @@ def test_jet_coefficients_match_finite_differences():
     # noise floor is larger) at a coarser step
     for i in range(3):
         for j in range(3):
-            coeff = jet.coeffs[i, j] * math.factorial(i) * math.factorial(j)
+            coeff = jet[i, j] * math.factorial(i) * math.factorial(j)
             if i + j <= 2:
                 fd = richardson_mixed_partial(scalar, i, j, h=1e-4)
                 assert coeff == pytest.approx(fd, rel=1e-6, abs=1e-10)

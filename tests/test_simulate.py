@@ -288,6 +288,36 @@ def test_estimators_reject_bad_gaps(base, estimate):
         estimate(bad)
 
 
+@pytest.mark.parametrize("m", [2.5, -1, "2"])
+def test_conditioned_sampling_rejects_bad_counts(base, m):
+    # 2.5 used to fail inside numpy with "expected a sequence of integers"
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="m must be a non-negative integer"):
+        sample_conditioned(m, base.params, FixedSpeed(10.0), 1.0, rng, size=4)
+    with pytest.raises(ValueError, match="m must be a non-negative integer"):
+        estimate_conditional_pmf(m, dataclasses.replace(base, replications=10), n_max=5)
+
+
+def test_empirical_pmf_rejects_negative_n_max(base):
+    # used to return an empty pmf with tail_mass 1.0
+    with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
+        estimate_conditional_pmf(5, dataclasses.replace(base, replications=10), n_max=-1)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0])
+def test_conditional_success_rejects_bad_thresholds(base, threshold):
+    # nan used to read as success 0.0 and -1.0 as success 1.0
+    sc = dataclasses.replace(base, replications=10)
+    with pytest.raises(ValueError, match="threshold must be finite and >= 0, got"):
+        estimate_conditional_success(3, sc, thresholds=[0.1, threshold])
+
+
+def test_conditional_success_at_zero_threshold_is_one(base):
+    (result,) = estimate_conditional_success(3, dataclasses.replace(base, replications=100),
+                                             thresholds=[0.0])
+    assert result.estimate == 1.0
+
+
 def test_conditioned_inner_count_statistics(base):
     # inner points uniform in the footprint: mean squared radius = r^2/2
     rng = np.random.default_rng(4)
