@@ -40,11 +40,13 @@ instants):
   [:1, 1:] that of the time-t marginal (s1 = 0).  The final exponential of
   that coefficient array is :func:`uavtc.numerics.jet_exp`.
 
-Every quantity is linear in the speed law.  Each is computed for one fixed
-speed, as a closed form or as one radial integral whose direction average
-is a fixed-node rule, and a speed density adds one outermost integral over
-v, split at the density's breakpoints and at the speeds where a footprint
-circle and its displaced copy become tangent.
+Every quantity is linear in the speed law.  Every speed density is
+piecewise linear and L has elementary integrals against 1 and against v, so
+the stay probability is an exact sum over the density's pieces.  A SINR
+quantity is computed for one fixed speed as one radial integral whose
+direction average is a fixed-node rule, and a speed density adds one
+outermost integral over v, split at the density's breakpoints and at the
+speeds where a footprint circle and its displaced copy become tangent.
 """
 
 from __future__ import annotations
@@ -129,6 +131,52 @@ def _lens_fraction(d, r: float):
     return (2.0 / math.pi) * (np.arccos(u) - u * np.sqrt(1.0 - u * u))
 
 
+# c_n for n = 11 down to 1 in int_0^u w L(w) dw = u^2/2 - (4/pi)(u^3/3 + sum_n c_n u^(2n+3)),
+# from L' = -(4/pi) sqrt(1 - u^2) and sqrt(1 - w) = 1 - sum_n C(2n, n) w^n / ((2n-1) 4^n)
+_LENS_TAIL = tuple(-math.comb(2 * n, n) / ((2 * n - 1) * 4**n * (2 * n + 1) * (2 * n + 3))
+                   for n in range(11, 0, -1))
+_SERIES_BELOW = 0.25  # where the series replaces the closed first moment
+
+
+def _lens_tail(u: float) -> float:
+    """sum_n c_n u^(2n+3) over the ``_LENS_TAIL`` coefficients, for u <= 1/4."""
+    w = u * u
+    acc = 0.0
+    for c in _LENS_TAIL:
+        acc = acc * w + c
+    return acc * w * u * u * u
+
+
+def _lens_moments(a: float, du: float) -> tuple[float, float]:
+    """Integrals of L(u) and of u L(u) over [a, a + du] within [0, 1]; L(u) = _lens_fraction(2ru, r).
+
+    With s = sqrt(1 - u^2) their primitives are (2/pi)(u acos u - s + s^3/3)
+    and (2/pi)(u^2 acos u / 2 + (asin u - u s)/8 - u^3 s / 4).  Each is
+    differenced term by term from differences of u, s and acos u that carry
+    the factor du, so a narrow piece far from u = 0 keeps its digits.
+    Below u = 1/4 the terms of the second primitive cancel to O(u^3), so
+    there it is u^2/2 minus a power series.
+    """
+    if a < _SERIES_BELOW < a + du:
+        below = _SERIES_BELOW - a
+        low, high = _lens_moments(a, below), _lens_moments(_SERIES_BELOW, du - below)
+        return low[0] + high[0], low[1] + high[1]
+    b = min(a + du, 1.0)
+    sa = math.sqrt((1.0 - a) * (1.0 + a))
+    sb = math.sqrt((1.0 - b) * (1.0 + b))
+    ds = -du * (a + b) / (sa + sb)
+    dacos = -math.asin(du * sa - a * ds)  # asin(b sa - a sb) = asin b - asin a
+    acos_b = math.acos(b)
+    zeroth = du * acos_b + a * dacos - ds * (1.0 - (sa * sa + sa * sb + sb * sb) / 3.0)
+    cubes = du * (a * a + a * b + b * b)
+    if b <= _SERIES_BELOW:
+        first = 0.5 * du * (a + b) - (4.0 / math.pi) * (cubes / 3.0 + _lens_tail(b) - _lens_tail(a))
+        return (2.0 / math.pi) * zeroth, first
+    first = (0.5 * (du * (a + b) * acos_b + a * a * dacos) - (dacos + du * sb + a * ds) / 8.0
+             - (cubes * sb + a * a * a * ds) / 4.0)
+    return (2.0 / math.pi) * zeroth, (2.0 / math.pi) * first
+
+
 def _arrival_mean(params: NetworkParams, stay: float) -> float:
     """Mean arrival count lambda * p * pi * r^2 * (1 - stay), by the displacement theorem."""
     r_out = params.antenna.r_out
@@ -138,7 +186,11 @@ def _arrival_mean(params: NetworkParams, stay: float) -> float:
 def footprint_ingress_integral(params: NetworkParams, speed: SpeedDistribution, t: float) -> float:
     """Probability that a node uniform in the footprint is still inside after t.
 
-    Equals E_V[L(V t)] for the lens overlap fraction L of the footprint.
+    Equals E_V[L(V t)] for the lens overlap fraction L of the footprint.  In
+    u = v t / 2r a piece of the speed density is f_a + slope * (u - a), so
+    E_V[L(V t)] is the sum over pieces of (2r/t) times f_a int L du plus
+    slope times int (u - a) L du, each over the piece clipped at u = 1,
+    beyond which L = 0.
     """
     check_gap(t)
     r_out = params.antenna.r_out
@@ -146,14 +198,21 @@ def footprint_ingress_integral(params: NetworkParams, speed: SpeedDistribution, 
         return 1.0
     if speed.atom is not None:
         return float(_lens_fraction(speed.atom * t, r_out))
-    value, _ = integrate_array_detailed(
-        lambda v: speed.pdf(v) * _lens_fraction(v * t, r_out),
-        speed.support_min,
-        speed.support_max,
-        SPEC,
-        points=(*speed.pdf_breakpoints, 2.0 * r_out / t),  # L has a kink at d = 2r
-    )
-    return min(max(float(value), 0.0), 1.0)
+    scale = 2.0 * r_out / t
+    if speed.support_max < scale * 2.0**-60:
+        return 1.0  # 1 - L(v t) < 2**-59 rounds away for every speed
+    speeds, densities = speed.density_knots()
+    total = 0.0
+    for va, vb, fa, fb in zip(speeds, speeds[1:], densities, densities[1:]):
+        a = va / scale
+        if a >= 1.0:
+            break
+        if fa == fb == 0.0:
+            continue
+        width = (vb - va) / scale  # not b - a, which would carry the rounding of a and b
+        zeroth, first = _lens_moments(a, min(width, 1.0 - a))
+        total += fa * zeroth + (fb - fa) / width * (first - a * zeroth)
+    return min(max(scale * total, 0.0), 1.0)
 
 
 def footprint_egress_integral(params: NetworkParams, speed: SpeedDistribution, t: float) -> float:

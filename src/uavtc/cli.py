@@ -31,6 +31,7 @@ from pathlib import Path
 import click
 
 from . import __version__, analytic, simulate
+from .mobility import check_count, check_gap
 from .model import (
     DEFAULT_TDB_GRID,
     ConfigError,
@@ -74,6 +75,16 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
+
+
+def _rejects(check, values) -> bool:
+    """Whether the shared argument rule ``check`` raises ``ValueError`` on any of ``values``."""
+    for value in values:
+        try:
+            check(value)
+        except ValueError:
+            return True
+    return False
 
 
 def _parse_list(text: str | None, cast, flag: str):
@@ -359,13 +370,13 @@ def _build_spec(kind, config_path, seed, replications, workers, out_dir, sweep_t
     tdb_values = _parse_list(sweep_tdb, float, "--sweep-tdb")
     m_values = _parse_list(m_list, int, "--m")
     violations = []
-    if t_values is not None and not all(0 <= t < math.inf for t in t_values):
+    if t_values is not None and _rejects(check_gap, t_values):
         violations.append(f"--sweep-t values must be finite and >= 0, got {sweep_t!r}")
     if tdb_values is not None and not all(0 < db_to_linear(tdb) < math.inf for tdb in tdb_values):
         violations.append(
             f"--sweep-tdb values must be finite with a linear threshold > 0, got {sweep_tdb!r}")
-    if m_values is not None and any(m < 0 for m in m_values):
-        violations.append("--m values must be >= 0")
+    if m_values is not None and _rejects(check_count, m_values):
+        violations.append(f"--m values must be non-negative integers, got {m_list!r}")
     if violations:
         raise ConfigError(violations)
     default_m = (scenario.m_initial,) if scenario.m_initial is not None else ()

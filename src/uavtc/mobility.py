@@ -55,9 +55,14 @@ def check_count(m: int) -> int:
 
 
 def check_n_max(n_max: int) -> int:
-    if n_max < 0:
+    """``n_max`` as an int, if it is a non-negative integer of any integer type."""
+    try:
+        limit = operator.index(n_max)
+    except TypeError:
+        raise ValueError(f"n_max must be an integer, got {n_max!r}") from None
+    if limit < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max!r}")
-    return n_max
+    return limit
 
 
 def displaced_distance(x, speed, angle, duration):

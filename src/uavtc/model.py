@@ -146,6 +146,14 @@ class SpeedDistribution(abc.ABC):
     def pdf(self, v: float) -> float:
         """Density at v; an array of speeds gives an array of densities."""
 
+    @abc.abstractmethod
+    def density_knots(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """(speeds, densities) at the knots of the piecewise-linear density.
+
+        The density interpolates linearly between consecutive knots and is 0
+        outside the first and last.
+        """
+
     @property
     @abc.abstractmethod
     def support_min(self) -> float:
@@ -164,7 +172,7 @@ class SpeedDistribution(abc.ABC):
     @property
     def pdf_breakpoints(self) -> tuple[float, ...]:
         """Speeds where the density is non-smooth (quadrature split points)."""
-        return (self.support_min, self.support_max)
+        return self.density_knots()[0]
 
     @abc.abstractmethod
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -189,6 +197,9 @@ class FixedSpeed(SpeedDistribution):
         return 1.0 if v >= self.v else 0.0
 
     def pdf(self, v: float) -> float:
+        raise TypeError("a fixed speed has no density; use the atom property")
+
+    def density_knots(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         raise TypeError("a fixed speed has no density; use the atom property")
 
     @property
@@ -235,6 +246,10 @@ class UniformSpeed(SpeedDistribution):
         inside = (self.v_min <= speeds) & (speeds <= self.v_max)
         density = np.where(inside, 1.0 / (self.v_max - self.v_min), 0.0)
         return density if speeds.ndim else float(density)
+
+    def density_knots(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        density = 1.0 / (self.v_max - self.v_min)
+        return (self.v_min, self.v_max), (density, density)
 
     @property
     def support_min(self) -> float:
@@ -317,6 +332,9 @@ class TabulatedSpeed(SpeedDistribution):
         density = np.interp(v, self._speeds, self._dens, left=0.0, right=0.0)
         return density if np.ndim(v) else float(density)
 
+    def density_knots(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        return tuple(self._speeds.tolist()), tuple(self._dens.tolist())
+
     @property
     def support_min(self) -> float:
         return float(self._speeds[0])
@@ -324,10 +342,6 @@ class TabulatedSpeed(SpeedDistribution):
     @property
     def support_max(self) -> float:
         return float(self._speeds[-1])
-
-    @property
-    def pdf_breakpoints(self) -> tuple[float, ...]:
-        return tuple(float(v) for v in self._speeds)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.random(size)

@@ -400,7 +400,8 @@ def estimate_conditional_pmf(
     """Empirical pmf of the second-instant count given m initial interferers."""
     from .analytic import InterfererPmf
 
-    check_n_max(n_max)
+    m = check_count(m)
+    n_max = check_n_max(n_max)
     seed = scenario.seed if seed is None else seed
     reps = scenario.replications
     acc = _accumulate(_pmf_kernel, (scenario, m, n_max), reps, seed, _PMF, workers, n_max + 2)
@@ -425,6 +426,7 @@ def estimate_conditional_success(
     grid = np.asarray(list(thresholds), dtype=float)
     for threshold in grid.tolist():
         check_threshold(threshold)
+    m = check_count(m)
     seed = scenario.seed if seed is None else seed
     reps = scenario.replications
     acc = _accumulate(
@@ -440,6 +442,7 @@ def estimate_arrivals_departures(
     workers: int = 1,
 ) -> tuple[EstimatorResult, EstimatorResult]:
     """Mean (arrivals, departures) of footprint crossings between the instants."""
+    m = check_count(m)
     seed = scenario.seed if seed is None else seed
     reps = scenario.replications
     acc = _accumulate(_arr_dep_kernel, (scenario, m), reps, seed, _ARR_DEP, workers, 4)

@@ -1,11 +1,12 @@
 """Shared test fixtures: baseline scenario builders and independent oracles.
 
 The oracles here deliberately avoid the package's own quadrature and jet
-machinery: the joint-success oracle uses fixed-node Legendre-Gauss panels
-and plain scalar arithmetic, the pmf oracle builds the distribution as an
-explicit binomial/Poisson convolution, the derivative checks use
-Richardson-extrapolated central finite differences of the scalar oracle, and
-the forward simulator moves planar points over a whole disk.
+machinery: the joint-success and stay-probability oracles use fixed-node
+Legendre-Gauss panels and plain scalar arithmetic, the small-gap stay
+probability is a series in the speed moments, the pmf oracle builds the
+distribution as an explicit binomial/Poisson convolution, the derivative
+checks use Richardson-extrapolated central finite differences of the scalar
+oracle, and the forward simulator moves planar points over a whole disk.
 """
 
 from __future__ import annotations
@@ -133,6 +134,56 @@ def serial_heap_integrate(f, a: float, b: float, spec=numerics.DEFAULT_SPEC,
             serial += 1
         evaluated += 2
     return total, total_err, evaluated
+
+
+def _speed_pieces(speed) -> tuple[np.ndarray, np.ndarray]:
+    """Knots and densities of a speed density, read through its pdf at its breakpoints."""
+    knots = np.array(speed.pdf_breakpoints, dtype=float)
+    return knots, np.array([speed.pdf(v) for v in knots])
+
+
+def stay_probability_oracle(speed, r: float, t: float, n: int = 64) -> float:
+    """E_V[L(V t)] for a speed density as a fixed-node Legendre sum.
+
+    One n-node panel between consecutive density knots and v = 2r/t, where
+    the lens fraction L reaches 0.  Each panel is mapped through
+    v = lo + half * (1 - cos(theta)), so the 3/2-power zero of L at 2r/t and
+    the kinks of the density become smooth in theta.
+    """
+    knots = speed.pdf_breakpoints
+    kink = 2.0 * r / t
+    edges = sorted({*knots, *([kink] if knots[0] < kink < knots[-1] else [])})
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    theta = 0.5 * math.pi * (nodes + 1.0)
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (hi - lo)
+        v = lo + half * (1.0 - np.cos(theta))
+        u = np.minimum(v * t / (2.0 * r), 1.0)
+        lens = (2.0 / math.pi) * (np.arccos(u) - u * np.sqrt(1.0 - u * u))
+        total += float(np.sum(0.5 * math.pi * weights * half * np.sin(theta)
+                              * speed.pdf(v) * lens))
+    return total
+
+
+def stay_probability_series(speed, r: float, t: float) -> float:
+    """1 - (2/(pi r)) E[V] t + E[V^3] t^3 / (12 pi r^3), the small-gap stay probability.
+
+    From L(d) = 1 - 2d/(pi r) + d^3/(12 pi r^3) + O(d^5); the moments are
+    exact for the piecewise-linear density.
+    """
+    knots, dens = _speed_pieces(speed)
+
+    def moment(k: int) -> float:
+        total = 0.0
+        for va, vb, fa, fb in zip(knots, knots[1:], dens, dens[1:]):
+            slope = (fb - fa) / (vb - va)
+            total += ((fa - slope * va) * (vb ** (k + 1) - va ** (k + 1)) / (k + 1)
+                      + slope * (vb ** (k + 2) - va ** (k + 2)) / (k + 2))
+        return total
+
+    return (1.0 - 2.0 * moment(1) * t / (math.pi * r)
+            + moment(3) * t ** 3 / (12.0 * math.pi * r ** 3))
 
 
 def pmf_convolution_oracle(m: int, stay_prob: float, poisson_mean: float,

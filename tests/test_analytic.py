@@ -177,6 +177,46 @@ def test_rates_match_containment_integrals(base, speed, t):
     assert footprint_egress_integral(p, speed, t) == pytest.approx(arrivals, abs=1e-9)
 
 
+_DENSITIES = {
+    "uniform-5-15": UniformSpeed(5.0, 15.0),
+    "uniform-0-40": UniformSpeed(0.0, 40.0),
+    "table-3": TabulatedSpeed([[0.0, 0.0], [6.0, 0.2], [12.0, 0.05]]),
+    "table-5": TabulatedSpeed([[2.0, 0.0], [8.0, 0.1], [15.0, 0.06], [25.0, 0.03], [40.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("name", list(_DENSITIES))
+@pytest.mark.parametrize("t", [1e-9, 1e-6, 1e-3, 0.5, 1.0, 3.0, 5.0, 20.0])
+def test_stay_probability_matches_fixed_node_oracle(base, name, t):
+    # the sum over the density's pieces against a 64-node Legendre sum and,
+    # at small gaps, the moment series; the gaps run past 2r/v_max
+    speed = _DENSITIES[name]
+    r = base.params.antenna.r_out
+    stay = footprint_ingress_integral(base.params, speed, t)
+    assert stay == pytest.approx(helpers.stay_probability_oracle(speed, r, t), abs=1e-13)
+    if t <= 1e-3:
+        assert stay == pytest.approx(helpers.stay_probability_series(speed, r, t), abs=1e-13)
+
+
+def test_stay_probability_at_vanishing_gaps(base):
+    # scale = 2r/t overflows at the smallest gaps; the stay probability is 1 there
+    for t in (5e-324, 1e-310, 1e-20):
+        assert footprint_ingress_integral(base.params, UniformSpeed(0.0, 40.0), t) == 1.0
+    assert footprint_ingress_integral(base.params, UniformSpeed(0.0, 40.0), 1e-15) < 1.0
+
+
+@pytest.mark.parametrize("speed", [
+    UniformSpeed(5.0, 15.0),
+    TabulatedSpeed([[0.0, 0.0], [6.0, 0.2], [12.0, 0.05]]),
+])
+@pytest.mark.parametrize("t", [1.0, 5.0])
+def test_count_pmf_runs_no_quadrature(base, monkeypatch, speed, t):
+    passes = count_passes(monkeypatch)
+    conditional_interferer_pmf(5, base.params, speed, t)
+    assert passes == []
+    assert "integrate_array_detailed" not in footprint_ingress_integral.__code__.co_names
+
+
 # ---------------------------------------------------------------------------
 # conditional count pmf
 # ---------------------------------------------------------------------------
@@ -275,6 +315,22 @@ def test_pmfs_reject_negative_n_max(base):
         conditional_interferer_pmf(5, base.params, base.speed, 1.0, n_max=-1)
     with pytest.raises(ValueError, match="n_max must be >= 0"):
         unconditional_interferer_pmf(base.params, n_max=-1)
+
+
+@pytest.mark.parametrize("n_max", [2.5, 5.0, "5"])
+def test_pmfs_reject_fractional_n_max(base, n_max):
+    # 2.5 used to raise a bare TypeError from inside the arithmetic
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        conditional_interferer_pmf(5, base.params, base.speed, 1.0, n_max=n_max)
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        unconditional_interferer_pmf(base.params, n_max=n_max)
+
+
+def test_pmf_takes_a_numpy_integer_n_max(base):
+    pmf = conditional_interferer_pmf(5, base.params, base.speed, 1.0, n_max=np.int64(7))
+    assert pmf.n_max == 7
+    np.testing.assert_array_equal(
+        pmf.probs, conditional_interferer_pmf(5, base.params, base.speed, 1.0, n_max=7).probs)
 
 
 def test_pmf_explicit_n_max_sets_the_length(base):

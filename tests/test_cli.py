@@ -300,6 +300,9 @@ def test_empty_sweep_list_exits_2(runner, config_path, tmp_path):
     ("joint-success", "--sweep-tdb=-10,nan", "--sweep-tdb values must be finite"),
     ("joint-success", "--sweep-tdb=4000", "--sweep-tdb values must be finite"),
     ("joint-success", "--sweep-tdb=-4000", "--sweep-tdb values must be finite"),
+    ("interferer-pmf", "--m=2.5", "--m: invalid literal for int()"),
+    ("conditional-success", "--m=-1", "--m values must be non-negative integers, got '-1'"),
+    ("interferer-pmf", "--m=3,-1", "--m values must be non-negative integers"),
 ])
 def test_bad_sweep_value_exits_2(runner, config_path, tmp_path, command, flag, message):
     out = tmp_path / "never"

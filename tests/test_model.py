@@ -314,6 +314,16 @@ def test_tabulated_speed_cdf_is_exact_piecewise_quadratic():
     assert s.pdf_breakpoints == (0.0, 2.0, 4.0)
 
 
+def test_density_knots_of_each_speed_law():
+    assert UniformSpeed(5.0, 15.0).density_knots() == ((5.0, 15.0), (0.1, 0.1))
+    speeds, densities = TabulatedSpeed([[0.0, 0.0], [2.0, 0.25], [4.0, 0.25]]).density_knots()
+    assert speeds == (0.0, 2.0, 4.0)
+    assert densities == pytest.approx((0.0, 0.25 / 0.75, 0.25 / 0.75), abs=1e-15)
+    assert all(type(x) is float for x in speeds + densities)
+    with pytest.raises(TypeError, match="use the atom property"):
+        FixedSpeed(10.0).density_knots()
+
+
 @given(st.floats(0.0, 1.0))
 def test_tabulated_sampling_inverts_cdf(u):
     s = TabulatedSpeed([[1.0, 0.2], [3.0, 0.2], [6.0, 0.2]])

@@ -1,0 +1,58 @@
+"""Properties of the analytic count rates over randomly drawn speed laws."""
+
+import math
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from uavtc.analytic import footprint_egress_integral, footprint_ingress_integral
+from uavtc.model import TabulatedSpeed, UniformSpeed
+
+from helpers import baseline_scenario, stay_probability_oracle
+
+PARAMS = baseline_scenario().params
+R = PARAMS.antenna.r_out
+
+
+@st.composite
+def uniform_laws(draw):
+    v_min = draw(st.floats(0.0, 40.0))
+    return UniformSpeed(v_min, v_min + draw(st.floats(0.01, 40.0)))
+
+
+@st.composite
+def tabulated_laws(draw):
+    # A sloped piece loses about eps * |f_b - f_a| * v to rounding.  Knots at
+    # least 1 m/s apart below about 100 m/s keep that under 5e-14.
+    n = draw(st.integers(2, 6))
+    start = draw(st.floats(0.0, 30.0))
+    gaps = draw(st.lists(st.floats(1.0, 15.0), min_size=n - 1, max_size=n - 1))
+    densities = draw(st.lists(st.floats(0.0, 1.0, allow_subnormal=False), min_size=n, max_size=n)
+                     .filter(lambda d: max(d) > 0.0))
+    speeds = [start + sum(gaps[:i]) for i in range(n)]
+    return TabulatedSpeed([[v, f] for v, f in zip(speeds, densities)])
+
+
+def _gap(law, fraction: float) -> float:
+    """A gap from 1e-9 to three times 2r/v_max, log-uniform in ``fraction``."""
+    top = math.log10(3.0 * 2.0 * R / law.support_max)
+    return 10.0 ** (-9.0 + fraction * (top + 9.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(law=st.one_of(uniform_laws(), tabulated_laws()),
+       fraction=st.floats(0.0, 1.0), stretch=st.floats(1.0, 10.0))
+@example(law=UniformSpeed(5.0, 15.0), fraction=0.0, stretch=1.0)
+@example(law=UniformSpeed(40.0, 40.001), fraction=0.0, stretch=1.0)  # a width of b - a is 6e-13 off
+@example(law=TabulatedSpeed([[0.0, 0.0], [6.0, 0.2], [12.0, 0.05]]), fraction=1.0, stretch=10.0)
+def test_stay_probability_properties(law, fraction, stretch):
+    t = _gap(law, fraction)
+    stay = footprint_ingress_integral(PARAMS, law, t)
+    assert 0.0 <= stay <= 1.0
+    assert stay == pytest.approx(stay_probability_oracle(law, R, t), abs=1e-13)
+    # non-increasing in t, up to the 1e-13 each value may be off
+    assert footprint_ingress_integral(PARAMS, law, t * stretch) <= stay + 1e-13
+    # flow balance: the arrivals replace the departures of a full footprint
+    flow = PARAMS.lam * PARAMS.p_mobile * math.pi * R * R * (1.0 - stay)
+    assert footprint_egress_integral(PARAMS, law, t) == pytest.approx(flow, rel=1e-12, abs=1e-15)

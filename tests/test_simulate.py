@@ -304,6 +304,41 @@ def test_empirical_pmf_rejects_negative_n_max(base):
         estimate_conditional_pmf(5, dataclasses.replace(base, replications=10), n_max=-1)
 
 
+@pytest.mark.parametrize("n_max", [2.5, 5.0, "5"])
+def test_empirical_pmf_rejects_fractional_n_max(base, n_max):
+    # 2.5 used to fail inside numpy with "expected a sequence of integers"
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        estimate_conditional_pmf(5, dataclasses.replace(base, replications=10), n_max=n_max)
+
+
+def test_empirical_pmf_takes_numpy_integers(base):
+    sc = dataclasses.replace(base, replications=300)
+    via_numpy = estimate_conditional_pmf(np.int64(5), sc, n_max=np.int32(12))
+    plain = estimate_conditional_pmf(5, sc, n_max=12)
+    assert type(via_numpy.m) is int and via_numpy.m == 5
+    np.testing.assert_array_equal(via_numpy.probs, plain.probs)
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda sc: estimate_conditional_pmf(2.5, sc, n_max=5, workers=2),
+    lambda sc: estimate_conditional_success(2.5, sc, workers=2),
+    lambda sc: estimate_arrivals_departures(-1, sc, workers=2),
+])
+def test_bad_counts_are_rejected_before_a_pool_starts(base, monkeypatch, estimate):
+    # the pmf estimator used to start a pool and get the error back from a worker
+    started = []
+
+    class CountingPool(simulate.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
+    with pytest.raises(ValueError, match="m must be a non-negative integer"):
+        estimate(dataclasses.replace(base, replications=1000))
+    assert started == []
+
+
 @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0])
 def test_conditional_success_rejects_bad_thresholds(base, threshold):
     # nan used to read as success 0.0 and -1.0 as success 1.0
