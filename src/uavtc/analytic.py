@@ -58,8 +58,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mobility import check_count, check_gap, check_n_max, check_threshold
-from .model import NetworkParams, SpeedDistribution
+from .model import (
+    NetworkParams, SpeedDistribution, check_count, check_gap, check_n_max, check_threshold)
 from .numerics import (
     Jet2,
     QuadratureSpec,
@@ -177,6 +177,32 @@ def _lens_moments(a: float, du: float) -> tuple[float, float]:
     return (2.0 / math.pi) * zeroth, (2.0 / math.pi) * first
 
 
+_NARROW = 0.125  # the left moment of a piece narrower than this share of 1 - a uses its series
+_NARROW_TERMS = 16
+
+
+def _left_moment(a: float, du: float, zeroth: float, first: float) -> float:
+    """int_a^{a+du} (u - a) L(u) du, from the two moments of ``_lens_moments``.
+
+    ``first - a * zeroth`` cancels to about du^2 L / 2 on a narrow piece, so
+    there it is L(a) du^2 / 2 - (4/pi) sum_k c_k du^(k+3) / ((k+1)(k+3)),
+    from L' = -(4/pi) sqrt(1 - u^2), with c_k the Taylor coefficients of
+    g = sqrt(1 - u^2) at a.  They follow from (1 - u^2) g' = -u g and grow
+    like (1 - a)^-k, so the terms shrink at least like 8^-k.
+    """
+    if du >= _NARROW * (1.0 - a):
+        return first - a * zeroth
+    one_minus_a2 = (1.0 - a) * (1.0 + a)
+    prev, coef = 0.0, math.sqrt(one_minus_a2)
+    lens = (2.0 / math.pi) * (math.acos(a) - a * coef)
+    power, acc = du * du * du, 0.0
+    for k in range(_NARROW_TERMS):
+        acc += coef * power / ((k + 1) * (k + 3))
+        prev, coef = coef, ((2 * k - 1) * a * coef + (k - 2) * prev) / (one_minus_a2 * (k + 1))
+        power *= du
+    return 0.5 * lens * du * du - (4.0 / math.pi) * acc
+
+
 def _arrival_mean(params: NetworkParams, stay: float) -> float:
     """Mean arrival count lambda * p * pi * r^2 * (1 - stay), by the displacement theorem."""
     r_out = params.antenna.r_out
@@ -210,8 +236,10 @@ def footprint_ingress_integral(params: NetworkParams, speed: SpeedDistribution, 
         if fa == fb == 0.0:
             continue
         width = (vb - va) / scale  # not b - a, which would carry the rounding of a and b
-        zeroth, first = _lens_moments(a, min(width, 1.0 - a))
-        total += fa * zeroth + (fb - fa) / width * (first - a * zeroth)
+        du = min(width, 1.0 - a)
+        zeroth, first = _lens_moments(a, du)
+        slope = 0.0 if fa == fb else (fb - fa) / width * _left_moment(a, du, zeroth, first)
+        total += fa * zeroth + slope
     return min(max(scale * total, 0.0), 1.0)
 
 

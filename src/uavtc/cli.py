@@ -10,6 +10,9 @@ scenarios, and writes three artifacts into --out:
 * ``summary.json``: scenario echo, version, seed, and wall-clock timing
   (the only artifact containing timestamps).
 
+Each experiment is one entry of ``EXPERIMENTS``, which the commands, the
+artifact writer and the plot-data reshaper all read.
+
 Exit codes: 0 on success, 2 on config/validation errors, 3 on numerical
 failure.  Partially written artifacts are removed on failure.
 """
@@ -25,17 +28,19 @@ import os
 import subprocess
 import sys
 import time
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import click
 
 from . import __version__, analytic, simulate
-from .mobility import check_count, check_gap
 from .model import (
     DEFAULT_TDB_GRID,
     ConfigError,
     ValidatedScenario,
+    check_count,
+    check_gap,
     db_to_linear,
     linear_to_db,
     load_config,
@@ -45,17 +50,6 @@ from .model import (
 from .numerics import QuadratureError
 
 log = logging.getLogger(__name__)
-
-_HEADERS = {
-    "interferer-pmf": ["m", "t", "n", "p_analytic", "p_mc", "p_poisson_independent"],
-    "conditional-success": ["m", "t", "threshold_db", "p_mc", "se"],
-    "retransmission": ["t", "p_retx_analytic", "p_retx_mc", "se", "p_marginal_independent"],
-    "joint-success": [
-        "t", "threshold_db", "p_joint_analytic", "p_joint_mc", "se",
-        "p_marginal_0", "p_marginal_t", "p_independent_joint",
-    ],
-    "compare": ["quantity", "m", "t", "threshold_db", "n", "analytic", "mc", "se", "z"],
-}
 
 
 @dataclass(frozen=True)
@@ -119,81 +113,41 @@ def _version_string() -> str:
 # ---------------------------------------------------------------------------
 
 
-def _with(scenario: ValidatedScenario, t: float | None = None, threshold_db: float | None = None):
-    out = scenario
-    if t is not None:
-        out = replace(out, t_gap=float(t))
-    if threshold_db is not None:
-        out = replace(out, threshold=db_to_linear(threshold_db))
-    return out
+def _sinr_points(spec: ExperimentSpec, report, sweep_tdb: bool = True):
+    """Yield (t, dB, analytic report, Monte Carlo estimate) over the (t, threshold) grid.
 
-
-def _rows_interferer_pmf(spec: ExperimentSpec):
-    rows = []
-    sc = spec.scenario
-    for m in spec.m_list:
-        for t in spec.sweep_t:
-            sc_t = _with(sc, t=t)
-            apmf = analytic.conditional_interferer_pmf(m, sc.params, sc.speed, t)
-            poisson = analytic.unconditional_interferer_pmf(sc.params, n_max=apmf.n_max)
-            mpmf = simulate.estimate_conditional_pmf(
-                m, sc_t, n_max=apmf.n_max, workers=spec.workers
-            )
-            log.info("interferer-pmf m=%d t=%g: n_max=%d tail=%.2e", m, t, apmf.n_max, apmf.tail_mass)
-            for n in range(apmf.n_max + 1):
-                rows.append([m, t, n, float(apmf.probs[n]), float(mpmf.probs[n]),
-                             float(poisson.probs[n])])
-    return rows
-
-
-def _rows_conditional_success(spec: ExperimentSpec):
-    rows = []
-    sc = spec.scenario
-    linear = [db_to_linear(db) for db in spec.sweep_tdb]
-    for m in spec.m_list:
-        for t in spec.sweep_t:
-            results = simulate.estimate_conditional_success(
-                m, _with(sc, t=t), thresholds=linear, workers=spec.workers
-            )
-            log.info("conditional-success m=%d t=%g: %d thresholds", m, t, len(linear))
-            for db, res in zip(spec.sweep_tdb, results):
-                rows.append([m, t, db, res.estimate, res.std_error])
-    return rows
-
-
-def _rows_retransmission(spec: ExperimentSpec):
-    rows = []
+    ``report`` is the analytic report function.  Without ``sweep_tdb`` the
+    one threshold is the scenario's own and dB is None.
+    """
     sc = spec.scenario
     for t in spec.sweep_t:
-        report = analytic.retransmission_report(sc.params, sc.speed, t, sc.threshold)
-        est = simulate.estimate_joint_success(_with(sc, t=t), workers=spec.workers)
-        retx = est.retx_given_fail
-        log.info("retransmission t=%g: analytic=%.6f", t, report.p_retx_given_fail)
-        rows.append([
-            t,
-            report.p_retx_given_fail,
-            None if retx is None else retx.estimate,
-            None if retx is None else retx.std_error,
-            report.p_marginal_t,
-        ])
-    return rows
-
-
-def _rows_joint_success(spec: ExperimentSpec):
-    rows = []
-    sc = spec.scenario
-    for t in spec.sweep_t:
-        for db in spec.sweep_tdb:
-            rep = analytic.success_report(sc.params, sc.speed, t, db_to_linear(db))
+        for db in spec.sweep_tdb if sweep_tdb else (None,):
+            threshold = sc.threshold if db is None else db_to_linear(db)
+            rep = report(sc.params, sc.speed, t, threshold)
             est = simulate.estimate_joint_success(
-                _with(sc, t=t, threshold_db=db), workers=spec.workers
+                replace(sc, t_gap=float(t), threshold=threshold), workers=spec.workers
             )
-            log.info("joint-success t=%g T=%gdB: analytic=%.6f", t, db, rep.p_joint)
-            rows.append([
-                t, db, rep.p_joint, est.joint.estimate, est.joint.std_error,
-                rep.p_marginal_0, rep.p_marginal_t, rep.p_independent_joint,
-            ])
-    return rows
+            log.info("%s t=%g threshold=%g", spec.kind, t, threshold)
+            yield t, db, rep, est
+
+
+def _pmf_points(spec: ExperimentSpec):
+    """Yield (m, t, analytic pmf, Monte Carlo pmf) over the (m, t) grid."""
+    sc = spec.scenario
+    for m in spec.m_list:
+        for t in spec.sweep_t:
+            apmf = analytic.conditional_interferer_pmf(m, sc.params, sc.speed, t)
+            mpmf = simulate.estimate_conditional_pmf(
+                m, replace(sc, t_gap=float(t)), n_max=apmf.n_max, workers=spec.workers
+            )
+            log.info("%s m=%d t=%g: n_max=%d tail=%.2e", spec.kind, m, t, apmf.n_max,
+                     apmf.tail_mass)
+            yield m, t, apmf, mpmf
+
+
+def _estimate(result):
+    """(estimate, std_error) of an estimator result, blank where it is undefined."""
+    return (None, None) if result is None else (result.estimate, result.std_error)
 
 
 def _z_or_none(analytic_value, est):
@@ -202,60 +156,131 @@ def _z_or_none(analytic_value, est):
     return (est.estimate - analytic_value) / est.std_error
 
 
-def _rows_compare(spec: ExperimentSpec):
-    rows = []
-    sc = spec.scenario
-    for t in spec.sweep_t:
-        for db in spec.sweep_tdb:
-            rep = analytic.success_report(sc.params, sc.speed, t, db_to_linear(db))
-            est = simulate.estimate_joint_success(
-                _with(sc, t=t, threshold_db=db), workers=spec.workers
-            )
-            pairs = [
-                ("joint", rep.p_joint, est.joint),
-                ("marginal_0", rep.p_marginal_0, est.marginal_0),
-                ("marginal_t", rep.p_marginal_t, est.marginal_t),
-                ("retx_given_fail", rep.p_retx_given_fail, est.retx_given_fail),
-            ]
-            log.info("compare t=%g T=%gdB", t, db)
-            for name, a_val, e in pairs:
-                rows.append([
-                    name, None, t, db, None, a_val,
-                    None if e is None else e.estimate,
-                    None if e is None else e.std_error,
-                    _z_or_none(a_val, e),
-                ])
+def _rows_interferer_pmf(spec: ExperimentSpec):
+    for m, t, apmf, mpmf in _pmf_points(spec):
+        poisson = analytic.unconditional_interferer_pmf(spec.scenario.params, n_max=apmf.n_max)
+        for n in range(apmf.n_max + 1):
+            yield [m, t, n, float(apmf.probs[n]), float(mpmf.probs[n]), float(poisson.probs[n])]
+
+
+def _rows_conditional_success(spec: ExperimentSpec):
+    linear = [db_to_linear(db) for db in spec.sweep_tdb]
     for m in spec.m_list:
         for t in spec.sweep_t:
-            apmf = analytic.conditional_interferer_pmf(m, sc.params, sc.speed, t)
-            mpmf = simulate.estimate_conditional_pmf(
-                m, _with(sc, t=t), n_max=apmf.n_max, workers=spec.workers
+            results = simulate.estimate_conditional_success(
+                m, replace(spec.scenario, t_gap=float(t)), thresholds=linear,
+                workers=spec.workers
             )
-            reps = sc.replications
-            log.info("compare pmf m=%d t=%g", m, t)
-            for n in range(apmf.n_max + 1):
-                p_hat = float(mpmf.probs[n])
-                se = math.sqrt(p_hat * (1.0 - p_hat) / reps)
-                z = (p_hat - float(apmf.probs[n])) / se if se > 0 else None
-                rows.append(["pmf", m, t, None, n, float(apmf.probs[n]), p_hat, se, z])
-    return rows
+            log.info("%s m=%d t=%g: %d thresholds", spec.kind, m, t, len(linear))
+            for db, res in zip(spec.sweep_tdb, results):
+                yield [m, t, db, res.estimate, res.std_error]
 
 
-_COMPUTE = {
-    "interferer-pmf": _rows_interferer_pmf,
-    "conditional-success": _rows_conditional_success,
-    "retransmission": _rows_retransmission,
-    "joint-success": _rows_joint_success,
-    "compare": _rows_compare,
+def _rows_retransmission(spec: ExperimentSpec):
+    for t, _, rep, est in _sinr_points(spec, analytic.retransmission_report, sweep_tdb=False):
+        yield [t, rep.p_retx_given_fail, *_estimate(est.retx_given_fail), rep.p_marginal_t]
+
+
+def _rows_joint_success(spec: ExperimentSpec):
+    for t, db, rep, est in _sinr_points(spec, analytic.success_report):
+        yield [t, db, rep.p_joint, *_estimate(est.joint),
+               rep.p_marginal_0, rep.p_marginal_t, rep.p_independent_joint]
+
+
+def _rows_compare(spec: ExperimentSpec):
+    for t, db, rep, est in _sinr_points(spec, analytic.success_report):
+        for name in ("joint", "marginal_0", "marginal_t", "retx_given_fail"):
+            a_val, e = getattr(rep, f"p_{name}"), getattr(est, name)
+            yield [name, None, t, db, None, a_val, *_estimate(e), _z_or_none(a_val, e)]
+    for m, t, apmf, mpmf in _pmf_points(spec):
+        for n in range(apmf.n_max + 1):
+            p_hat = float(mpmf.probs[n])
+            se = math.sqrt(p_hat * (1.0 - p_hat) / spec.scenario.replications)
+            z = (p_hat - float(apmf.probs[n])) / se if se > 0 else None
+            yield ["pmf", m, t, None, n, float(apmf.probs[n]), p_hat, se, z]
+
+
+# ---------------------------------------------------------------------------
+# The experiment table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    """One experiment command: what it computes, writes and accepts."""
+
+    header: tuple[str, ...]
+    rows: Callable[[ExperimentSpec], Iterable[list]]  # results rows of the grid
+    series: Callable[[dict], list[tuple]]  # (series, x, y) plot rows of one results row
+    help: str
+    options: tuple = ()  # click options beyond the common ones, in help order
+    grid_default: bool = False  # --sweep-tdb defaults to DEFAULT_TDB_GRID, not the config
+    needs_m: bool = False  # --m or the config's m_initial is required
+
+
+_m_option = functools.partial(click.option, "--m", "m_list", default=None)
+_tdb_option = functools.partial(click.option, "--sweep-tdb", default=None)
+_M_HELP = "Comma-separated initial interferer counts."
+_GRID_TDB_HELP = "Comma-separated thresholds in dB (default: -20..10 step 2)."
+
+EXPERIMENTS = {
+    "interferer-pmf": _Experiment(
+        header=("m", "t", "n", "p_analytic", "p_mc", "p_poisson_independent"),
+        rows=_rows_interferer_pmf,
+        series=lambda row: [
+            (f"m={row['m']},t={row['t']},{route}", row["n"], row[column])
+            for route, column in (("analytic", "p_analytic"), ("mc", "p_mc"),
+                                  ("poisson", "p_poisson_independent"))],
+        help="Conditional interferer-count pmf: analytic vs Monte Carlo vs Poisson.",
+        options=(_m_option(help=_M_HELP),),
+        needs_m=True,
+    ),
+    "conditional-success": _Experiment(
+        header=("m", "t", "threshold_db", "p_mc", "se"),
+        rows=_rows_conditional_success,
+        series=lambda row: [(f"m={row['m']},t={row['t']}", row["threshold_db"], row["p_mc"])],
+        help="Monte Carlo success probability conditioned on the initial count.",
+        options=(_tdb_option(help=_GRID_TDB_HELP), _m_option(help=_M_HELP)),
+        grid_default=True,
+        needs_m=True,
+    ),
+    "retransmission": _Experiment(
+        header=("t", "p_retx_analytic", "p_retx_mc", "se", "p_marginal_independent"),
+        rows=_rows_retransmission,
+        series=lambda row: [("retx,analytic", row["t"], row["p_retx_analytic"]),
+                            ("retx,mc", row["t"], row["p_retx_mc"]),
+                            ("marginal,independent", row["t"], row["p_marginal_independent"])],
+        help="Failure-conditioned retry success across the time-gap sweep.",
+    ),
+    "joint-success": _Experiment(
+        header=("t", "threshold_db", "p_joint_analytic", "p_joint_mc", "se",
+                "p_marginal_0", "p_marginal_t", "p_independent_joint"),
+        rows=_rows_joint_success,
+        series=lambda row: [(f"joint,T={row['threshold_db']}dB,{route}", row["t"],
+                             row[f"p_joint_{route}"]) for route in ("analytic", "mc")],
+        help="Joint two-instant success: analytic vs Monte Carlo.",
+        options=(_tdb_option(help=_GRID_TDB_HELP),),
+        grid_default=True,
+    ),
+    "compare": _Experiment(
+        header=("quantity", "m", "t", "threshold_db", "n", "analytic", "mc", "se", "z"),
+        rows=_rows_compare,
+        series=lambda row: [
+            (f"z,pmf,m={row['m']},t={row['t']}", row["n"], row["z"]) if row["quantity"] == "pmf"
+            else (f"z,{row['quantity']},T={row['threshold_db']}dB", row["t"], row["z"])],
+        help="Side-by-side analytic vs Monte Carlo table with z-scores.",
+        options=(_tdb_option(help="Comma-separated thresholds in dB (default: config threshold)."),
+                 _m_option(help="Also compare conditional pmfs for these initial counts.")),
+    ),
 }
 
 
 def run(spec: ExperimentSpec) -> dict:
     """Execute one experiment grid and write all artifacts."""
     started = time.time()
+    experiment = EXPERIMENTS[spec.kind]
     with simulate.shared_pool(spec.workers):
-        rows = _COMPUTE[spec.kind](spec)
-    header = _HEADERS[spec.kind]
+        rows = list(experiment.rows(spec))
 
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     results_path = spec.out_dir / "results.csv"
@@ -277,7 +302,7 @@ def run(spec: ExperimentSpec) -> dict:
     try:
         with open(results_path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
+            writer.writerow(experiment.header)
             writer.writerows([[_fmt(v) for v in row] for row in rows])
         emit_plotdata(results_path, plot_path)
         summary["wall_seconds"] = time.time() - started
@@ -308,43 +333,17 @@ def emit_plotdata(results_csv: str | Path, out_path: str | Path | None = None) -
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValueError(f"{results_csv} is empty; expected a results header")
-        fields = list(reader.fieldnames)
+        fields = tuple(reader.fieldnames)
         rows = list(reader)
-
-    def series_rows():
-        if fields == _HEADERS["interferer-pmf"]:
-            for row in rows:
-                tag = f"m={row['m']},t={row['t']}"
-                yield f"{tag},analytic", row["n"], row["p_analytic"]
-                yield f"{tag},mc", row["n"], row["p_mc"]
-                yield f"{tag},poisson", row["n"], row["p_poisson_independent"]
-        elif fields == _HEADERS["conditional-success"]:
-            for row in rows:
-                yield f"m={row['m']},t={row['t']}", row["threshold_db"], row["p_mc"]
-        elif fields == _HEADERS["retransmission"]:
-            for row in rows:
-                yield "retx,analytic", row["t"], row["p_retx_analytic"]
-                yield "retx,mc", row["t"], row["p_retx_mc"]
-                yield "marginal,independent", row["t"], row["p_marginal_independent"]
-        elif fields == _HEADERS["joint-success"]:
-            for row in rows:
-                tag = f"T={row['threshold_db']}dB"
-                yield f"joint,{tag},analytic", row["t"], row["p_joint_analytic"]
-                yield f"joint,{tag},mc", row["t"], row["p_joint_mc"]
-        elif fields == _HEADERS["compare"]:
-            for row in rows:
-                if row["quantity"] == "pmf":
-                    yield f"z,pmf,m={row['m']},t={row['t']}", row["n"], row["z"]
-                else:
-                    yield f"z,{row['quantity']},T={row['threshold_db']}dB", row["t"], row["z"]
-        else:
-            raise ValueError(f"{results_csv} has an unrecognized header: {fields}")
+    series = next((e.series for e in EXPERIMENTS.values() if e.header == fields), None)
+    if series is None:
+        raise ValueError(f"{results_csv} has an unrecognized header: {list(fields)}")
 
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["series", "x", "y"])
-        for series, x, y in series_rows():
-            writer.writerow([series, x, y])
+        for row in rows:
+            writer.writerows(series(row))
     return out_path
 
 
@@ -353,11 +352,11 @@ def emit_plotdata(results_csv: str | Path, out_path: str | Path | None = None) -
 # ---------------------------------------------------------------------------
 
 
-def _build_spec(kind, config_path, seed, replications, workers, out_dir, sweep_t, sweep_tdb, m_list):
+def _build_spec(kind, config_path, seed, replications, workers, out_dir, sweep_t,
+                sweep_tdb=None, m_list=None):
     overrides = {name: value for name, value in (("seed", seed), ("replications", replications))
                  if value is not None}
     scenario = validate(replace(load_config(config_path), **overrides))
-    grid_default = kind in ("conditional-success", "joint-success")
     if workers is None:
         env = os.environ.get("UAVTC_WORKERS")
         try:
@@ -381,7 +380,8 @@ def _build_spec(kind, config_path, seed, replications, workers, out_dir, sweep_t
         raise ConfigError(violations)
     default_m = (scenario.m_initial,) if scenario.m_initial is not None else ()
     if tdb_values is None:
-        tdb_values = DEFAULT_TDB_GRID if grid_default else (linear_to_db(scenario.threshold),)
+        tdb_values = (DEFAULT_TDB_GRID if EXPERIMENTS[kind].grid_default
+                      else (linear_to_db(scenario.threshold),))
     return ExperimentSpec(
         kind=kind,
         scenario=scenario,
@@ -396,7 +396,7 @@ def _build_spec(kind, config_path, seed, replications, workers, out_dir, sweep_t
 def _execute(kind, **kwargs):
     try:
         spec = _build_spec(kind, **kwargs)
-        if kind in ("interferer-pmf", "conditional-success") and not spec.m_list:
+        if EXPERIMENTS[kind].needs_m and not spec.m_list:
             raise ConfigError(["--m (or m_initial in the config) is required for this experiment"])
         summary = run(spec)
     except ConfigError as exc:
@@ -409,22 +409,19 @@ def _execute(kind, **kwargs):
     click.echo(f"wrote {spec.out_dir}/results.csv ({summary['rows']} rows)")
 
 
-def _common_options(fn):
-    for option in reversed([
-        click.option("--config", "config_path", required=True,
-                     type=click.Path(exists=True, dir_okay=False), help="JSON scenario config."),
-        click.option("--seed", type=int, default=None, help="Override the config seed."),
-        click.option("--replications", type=int, default=None,
-                     help="Override the config replication count."),
-        click.option("--workers", type=int, default=None,
-                     help="Worker processes (default: UAVTC_WORKERS or 1)."),
-        click.option("--out", "out_dir", type=click.Path(file_okay=False), default="out",
-                     show_default=True, help="Output directory."),
-        click.option("--sweep-t", default=None,
-                     help="Comma-separated list of time gaps (default: config t_gap)."),
-    ]):
-        fn = option(fn)
-    return fn
+_COMMON_OPTIONS = (
+    click.option("--config", "config_path", required=True,
+                 type=click.Path(exists=True, dir_okay=False), help="JSON scenario config."),
+    click.option("--seed", type=int, default=None, help="Override the config seed."),
+    click.option("--replications", type=int, default=None,
+                 help="Override the config replication count."),
+    click.option("--workers", type=int, default=None,
+                 help="Worker processes (default: UAVTC_WORKERS or 1)."),
+    click.option("--out", "out_dir", type=click.Path(file_okay=False), default="out",
+                 show_default=True, help="Output directory."),
+    click.option("--sweep-t", default=None,
+                 help="Comma-separated list of time gaps (default: config t_gap)."),
+)
 
 
 @click.group()
@@ -448,49 +445,11 @@ def validate_config_cmd(config_path):
     click.echo(json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True))
 
 
-@main.command("interferer-pmf")
-@_common_options
-@click.option("--m", "m_list", default=None, help="Comma-separated initial interferer counts.")
-def interferer_pmf_cmd(m_list, **kwargs):
-    """Conditional interferer-count pmf: analytic vs Monte Carlo vs Poisson."""
-    _execute("interferer-pmf", m_list=m_list, sweep_tdb=None, **kwargs)
-
-
-@main.command("conditional-success")
-@_common_options
-@click.option("--sweep-tdb", default=None,
-              help="Comma-separated thresholds in dB (default: -20..10 step 2).")
-@click.option("--m", "m_list", default=None, help="Comma-separated initial interferer counts.")
-def conditional_success_cmd(m_list, **kwargs):
-    """Monte Carlo success probability conditioned on the initial count."""
-    _execute("conditional-success", m_list=m_list, **kwargs)
-
-
-@main.command("retransmission")
-@_common_options
-def retransmission_cmd(**kwargs):
-    """Failure-conditioned retry success across the time-gap sweep."""
-    _execute("retransmission", m_list=None, sweep_tdb=None, **kwargs)
-
-
-@main.command("joint-success")
-@_common_options
-@click.option("--sweep-tdb", default=None,
-              help="Comma-separated thresholds in dB (default: -20..10 step 2).")
-def joint_success_cmd(**kwargs):
-    """Joint two-instant success: analytic vs Monte Carlo."""
-    _execute("joint-success", m_list=None, **kwargs)
-
-
-@main.command("compare")
-@_common_options
-@click.option("--sweep-tdb", default=None,
-              help="Comma-separated thresholds in dB (default: config threshold).")
-@click.option("--m", "m_list", default=None,
-              help="Also compare conditional pmfs for these initial counts.")
-def compare_cmd(m_list, **kwargs):
-    """Side-by-side analytic vs Monte Carlo table with z-scores."""
-    _execute("compare", m_list=m_list, **kwargs)
+for _kind, _experiment in EXPERIMENTS.items():
+    _callback = functools.partial(_execute, _kind)
+    for _option in reversed((*_COMMON_OPTIONS, *_experiment.options)):
+        _callback = _option(_callback)
+    main.command(_kind, help=_experiment.help)(_callback)
 
 
 if __name__ == "__main__":

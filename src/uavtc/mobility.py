@@ -21,48 +21,14 @@ the integral collects speeds for which only an angular arc stays inside.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
-from .model import SpeedDistribution
+from .model import SpeedDistribution, check_gap
 from .numerics import QuadratureSpec, integrate
 
 _PI = np.pi
 
 CONTAINMENT_SPEC = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10, max_subdivisions=2000)
-
-
-def check_gap(t: float) -> None:
-    if not 0 <= t < np.inf:
-        raise ValueError(f"t must be finite and >= 0, got {t!r}")
-
-
-def check_threshold(threshold: float) -> None:
-    if not 0 <= threshold < np.inf:
-        raise ValueError(f"threshold must be finite and >= 0, got {threshold!r}")
-
-
-def check_count(m: int) -> int:
-    """``m`` as an int, if it is a non-negative integer of any integer type."""
-    try:
-        count = operator.index(m)
-    except TypeError:
-        count = -1
-    if count < 0:
-        raise ValueError(f"m must be a non-negative integer, got {m!r}")
-    return count
-
-
-def check_n_max(n_max: int) -> int:
-    """``n_max`` as an int, if it is a non-negative integer of any integer type."""
-    try:
-        limit = operator.index(n_max)
-    except TypeError:
-        raise ValueError(f"n_max must be an integer, got {n_max!r}") from None
-    if limit < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max!r}")
-    return limit
 
 
 def displaced_distance(x, speed, angle, duration):

@@ -1,4 +1,4 @@
-"""Scenario parameters, speed laws, the scenario checker, and config I/O.
+"""Scenario parameters, speed laws, the scenario and argument checks, and config I/O.
 
 Every rule on a scenario's fields lives in one checker, ``_scenario``, which
 collects all violations and builds the :class:`ValidatedScenario`.  Each
@@ -19,6 +19,7 @@ import json
 import logging
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -87,6 +88,39 @@ _INTEGER_RANGES = {
     "k": (1, 8), "m_initial": (0, None), "replications": (1, None), "seed": (0, 2**64 - 1),
 }
 _SCENARIO_KEYS = {*_REAL_RULES, *_INTEGER_RANGES, "speed"}
+
+
+# the rules on the arguments of the library's functions, which the command line shares
+def check_gap(t: float) -> None:
+    if not 0 <= t < np.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t!r}")
+
+
+def check_threshold(threshold: float) -> None:
+    if not 0 <= threshold < np.inf:
+        raise ValueError(f"threshold must be finite and >= 0, got {threshold!r}")
+
+
+def check_count(m: int) -> int:
+    """``m`` as an int, if it is a non-negative integer of any integer type."""
+    try:
+        count = operator.index(m)
+    except TypeError:
+        count = -1
+    if count < 0:
+        raise ValueError(f"m must be a non-negative integer, got {m!r}")
+    return count
+
+
+def check_n_max(n_max: int) -> int:
+    """``n_max`` as an int, if it is a non-negative integer of any integer type."""
+    try:
+        limit = operator.index(n_max)
+    except TypeError:
+        raise ValueError(f"n_max must be an integer, got {n_max!r}") from None
+    if limit < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max!r}")
+    return limit
 
 
 def _real(problems: list[str], name: str, value, rule=None) -> float | None:

@@ -27,9 +27,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .mobility import check_count, check_gap, check_n_max, check_threshold, displaced_distance
+from .mobility import displaced_distance
 from .model import (
-    DEFAULT_TDB_GRID, NetworkParams, SpeedDistribution, ValidatedScenario, db_to_linear)
+    DEFAULT_TDB_GRID, NetworkParams, SpeedDistribution, ValidatedScenario, check_count, check_gap,
+    check_n_max, check_threshold, db_to_linear)
 
 _JOINT = 1
 _PMF = 2
@@ -373,12 +374,10 @@ class JointSuccessEstimate:
 
 def estimate_joint_success(
     scenario: ValidatedScenario,
-    seed: int | None = None,
     workers: int = 1,
 ) -> JointSuccessEstimate:
     """Joint/marginal/conditional success estimates from one replication stream."""
-    seed = scenario.seed if seed is None else seed
-    reps = scenario.replications
+    seed, reps = scenario.seed, scenario.replications
     acc = _accumulate(_joint_kernel, (scenario,), reps, seed, _JOINT, workers, 5)
     joint_c, s0_c, st_c, retx_c, fail_c = (int(v) for v in acc)
     retx = _bernoulli_result(retx_c, fail_c, seed) if fail_c > 0 else None
@@ -394,7 +393,6 @@ def estimate_conditional_pmf(
     m: int,
     scenario: ValidatedScenario,
     n_max: int,
-    seed: int | None = None,
     workers: int = 1,
 ):
     """Empirical pmf of the second-instant count given m initial interferers."""
@@ -402,8 +400,7 @@ def estimate_conditional_pmf(
 
     m = check_count(m)
     n_max = check_n_max(n_max)
-    seed = scenario.seed if seed is None else seed
-    reps = scenario.replications
+    seed, reps = scenario.seed, scenario.replications
     acc = _accumulate(_pmf_kernel, (scenario, m, n_max), reps, seed, _PMF, workers, n_max + 2)
     probs = acc[: n_max + 1] / reps
     return InterfererPmf(m=m, t=scenario.t_gap, probs=probs, tail_mass=float(acc[-1] / reps))
@@ -413,7 +410,6 @@ def estimate_conditional_success(
     m: int,
     scenario: ValidatedScenario,
     thresholds: Sequence[float] | None = None,
-    seed: int | None = None,
     workers: int = 1,
 ) -> list[EstimatorResult]:
     """Success probability at the second instant given m initial interferers.
@@ -427,8 +423,7 @@ def estimate_conditional_success(
     for threshold in grid.tolist():
         check_threshold(threshold)
     m = check_count(m)
-    seed = scenario.seed if seed is None else seed
-    reps = scenario.replications
+    seed, reps = scenario.seed, scenario.replications
     acc = _accumulate(
         _cond_success_kernel, (scenario, m, grid), reps, seed, _COND_SUCCESS, workers, len(grid)
     )
@@ -438,13 +433,11 @@ def estimate_conditional_success(
 def estimate_arrivals_departures(
     m: int,
     scenario: ValidatedScenario,
-    seed: int | None = None,
     workers: int = 1,
 ) -> tuple[EstimatorResult, EstimatorResult]:
     """Mean (arrivals, departures) of footprint crossings between the instants."""
     m = check_count(m)
-    seed = scenario.seed if seed is None else seed
-    reps = scenario.replications
+    seed, reps = scenario.seed, scenario.replications
     acc = _accumulate(_arr_dep_kernel, (scenario, m), reps, seed, _ARR_DEP, workers, 4)
     dep = _mean_result(int(acc[0]), int(acc[1]), reps, seed)
     arr = _mean_result(int(acc[2]), int(acc[3]), reps, seed)

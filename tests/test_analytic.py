@@ -198,6 +198,19 @@ def test_stay_probability_matches_fixed_node_oracle(base, name, t):
         assert stay == pytest.approx(helpers.stay_probability_series(speed, r, t), abs=1e-13)
 
 
+@pytest.mark.parametrize("table, t", [
+    ([[40.0, 0.0], [40.001, 1.0]], 1e-9),
+    ([[100.0, 0.0], [100.001, 1.0]], 0.1),
+])
+def test_stay_probability_on_a_narrow_sloped_piece(base, table, t):
+    # on these pieces the left moment first - a * zeroth cancels to errors
+    # of 2.3e-11 and 1.0e-9; the narrow-piece series keeps them under 1e-13
+    speed = TabulatedSpeed(table)
+    r = base.params.antenna.r_out
+    stay = footprint_ingress_integral(base.params, speed, t)
+    assert stay == pytest.approx(helpers.stay_probability_oracle(speed, r, t), abs=1e-13)
+
+
 def test_stay_probability_at_vanishing_gaps(base):
     # scale = 2r/t overflows at the smallest gaps; the stay probability is 1 there
     for t in (5e-324, 1e-310, 1e-20):

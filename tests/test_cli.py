@@ -68,6 +68,21 @@ def test_invalid_json_exits_2(runner, tmp_path):
     assert "JSON" in result.output
 
 
+_COMMON_FLAGS = {"--config", "--seed", "--replications", "--workers", "--out", "--sweep-t"}
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("interferer-pmf", {"--m"}),
+    ("conditional-success", {"--m", "--sweep-tdb"}),
+    ("retransmission", set()),
+    ("joint-success", {"--sweep-tdb"}),
+    ("compare", {"--m", "--sweep-tdb"}),
+])
+def test_experiment_command_options(command, extra):
+    params = main.commands[command].params
+    assert {flag for param in params for flag in param.opts} == _COMMON_FLAGS | extra
+
+
 # ---------------------------------------------------------------------------
 # experiment artifacts
 # ---------------------------------------------------------------------------
@@ -374,6 +389,28 @@ def test_emit_plotdata_header_only_input(tmp_path):
     assert out.read_text() == "series,x,y\n"
 
 
+@pytest.mark.parametrize("results, series", [
+    ("m,t,n,p_analytic,p_mc,p_poisson_independent\n5,1.5,2,0.25,0.2475,0.125\n",
+     [["m=5,t=1.5,analytic", "2", "0.25"], ["m=5,t=1.5,mc", "2", "0.2475"],
+      ["m=5,t=1.5,poisson", "2", "0.125"]]),
+    ("m,t,threshold_db,p_mc,se\n15,5,-10,0.625,0.0125\n", [["m=15,t=5", "-10", "0.625"]]),
+    ("t,p_retx_analytic,p_retx_mc,se,p_marginal_independent\n2.5,0.5,0.4875,0.0125,0.75\n",
+     [["retx,analytic", "2.5", "0.5"], ["retx,mc", "2.5", "0.4875"],
+      ["marginal,independent", "2.5", "0.75"]]),
+    ("t,threshold_db,p_joint_analytic,p_joint_mc,se,p_marginal_0,p_marginal_t,"
+     "p_independent_joint\n1,-4,0.375,0.38,0.005,0.625,0.625,0.390625\n",
+     [["joint,T=-4dB,analytic", "1", "0.375"], ["joint,T=-4dB,mc", "1", "0.38"]]),
+    ("quantity,m,t,threshold_db,n,analytic,mc,se,z\nmarginal_t,,5,0,,0.5,0.51,0.01,1.25\n",
+     [["z,marginal_t,T=0dB", "5", "1.25"]]),
+    ("quantity,m,t,threshold_db,n,analytic,mc,se,z\npmf,15,1,,3,0.125,0.12,0.0033,-1.5\n",
+     [["z,pmf,m=15,t=1", "3", "-1.5"]]),
+])
+def test_emit_plotdata_series_of_one_row(tmp_path, results, series):
+    src = tmp_path / "results.csv"
+    src.write_text(results)
+    assert read_csv(emit_plotdata(src)) == [["series", "x", "y"], *series]
+
+
 def test_emit_plotdata_rejects_empty_file(tmp_path):
     src = tmp_path / "results.csv"
     src.write_text("")
@@ -402,4 +439,4 @@ def test_run_figures_script_writes_three_experiments(tmp_path):
     for folder, kind in (("fig_count_pmf", "interferer-pmf"),
                          ("fig_conditional", "conditional-success"),
                          ("fig_retransmission", "retransmission")):
-        assert read_csv(tmp_path / folder / "results.csv")[0] == cli._HEADERS[kind]
+        assert read_csv(tmp_path / folder / "results.csv")[0] == list(cli.EXPERIMENTS[kind].header)

@@ -112,8 +112,8 @@ def test_shared_pool_is_reused_and_matches_per_call_pools(base, monkeypatch):
 
 
 def test_seed_changes_the_stream(base):
-    a = estimate_joint_success(base, seed=1)
-    b = estimate_joint_success(base, seed=2)
+    a = estimate_joint_success(dataclasses.replace(base, seed=1))
+    b = estimate_joint_success(dataclasses.replace(base, seed=2))
     assert a.joint.estimate != b.joint.estimate
 
 
@@ -121,7 +121,7 @@ def test_seed_changes_the_stream(base):
 def test_seed_outside_64_bits_rejected(base, seed):
     # such seeds used to be masked to 64 bits and alias seeds in range
     with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
-        estimate_joint_success(base, seed=seed)
+        estimate_joint_success(dataclasses.replace(base, seed=seed))
 
 
 def test_rerun_is_bit_identical(base):
