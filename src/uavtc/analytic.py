@@ -60,12 +60,7 @@ import numpy as np
 
 from .model import (
     NetworkParams, SpeedDistribution, check_count, check_gap, check_n_max, check_threshold)
-from .numerics import (
-    Jet2,
-    QuadratureSpec,
-    integrate_array_detailed,
-    jet_exp,
-)
+from .numerics import QuadratureSpec, integrate_array_detailed, jet_exp
 
 # Bound here only because perfbench/spans.py patches them by these names;
 # ROADMAP direction 1 moves that instrumentation into the library.
@@ -478,13 +473,14 @@ def laplace_exponent_jet(
     speed: SpeedDistribution,
     t: float,
     threshold: float,
-) -> Jet2:
-    """Log of the two-instant interference Laplace functional as a jet.
+) -> np.ndarray:
+    """Log of the two-instant interference Laplace functional, as a k x k coefficient array.
 
-    Evaluating exp of this jet at (s1, s2) = (-1, -1) and collecting Taylor
-    coefficients yields the interference part of the success probability.
+    Entry [i, j] is the Taylor coefficient of (s1 + 1)**i * (s2 + 1)**j
+    around (-1, -1).  The sum of the entries of its ``numerics.jet_exp`` is
+    the interference part of the joint success probability.
     """
-    return Jet2(_exponent_detailed(params, speed, t, threshold)[0][1:, 1:])
+    return _exponent_detailed(params, speed, t, threshold)[0][1:, 1:]
 
 
 def _probability(exponent: np.ndarray, noise: float, instants: int) -> float:
@@ -496,7 +492,7 @@ def _probability(exponent: np.ndarray, noise: float, instants: int) -> float:
     coeffs[0, 0] -= instants * noise
     coeffs[1:2, 0] += noise
     coeffs[0, 1:2] += noise
-    value = float(jet_exp(Jet2(coeffs)).coeffs.sum())
+    value = float(jet_exp(coeffs).sum())
     if value > 1.0 + _TAIL_EPS or value < -_TAIL_EPS:
         log.warning("success probability %.3e outside [0, 1]; clamping", value)
     return min(max(value, 0.0), 1.0)

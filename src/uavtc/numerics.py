@@ -1,13 +1,13 @@
 """Numerical substrate: adaptive Gauss-Kronrod quadrature and the exponential
 of a truncated bivariate Taylor series.
 
-The success-probability pipeline builds the Taylor coefficients of its
-exponent, around (-1, -1), as an array in closed form and only
-exponentiates it: ``jet_exp`` maps the coefficient array of a function to
-that of its exponential, truncated at the same per-variable degrees, so
-c[i][j] stays the (i,j) mixed partial divided by i!*j!.  ``Jet2`` wraps
-such an array immutably.  ``jet_powneg`` raises an array to a negative
-integer power.
+A truncated bivariate series is the 2-d array of its Taylor coefficients
+around (-1, -1): c[i, j] multiplies (s1 + 1)**i * (s2 + 1)**j and is the
+(i, j) mixed partial divided by i! * j!.  The success-probability pipeline
+builds the coefficients of its exponent in closed form and only
+exponentiates them: ``jet_exp`` maps an array to that of its exponential,
+and ``jet_powneg`` to that of a negative integer power, both truncated at
+the input's shape.
 
 The quadrature is a 15-point Kronrod rule with embedded 7-point Gauss rule,
 refined in rounds: each round bisects the segments with the largest error
@@ -15,9 +15,8 @@ estimates, as few as can bring the summed error within tolerance.  An
 integrand of ``integrate_array_detailed`` is called once per round with the
 15 nodes of every segment that round evaluates, concatenated, and returns
 the values with the node axis first, so an array of any shape can be
-integrated component-wise.  ``integrate``, ``integrate_detailed`` (float
-integrands) and ``integrate_jet``, ``integrate_jet_detailed`` (``Jet2``
-integrands) adapt a function of one node to that contract.
+integrated component-wise.  ``integrate`` and ``integrate_detailed`` adapt
+a float- or array-valued function of one node to that contract.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "Jet2",
     "QuadratureSpec",
     "QuadratureError",
     "SingularJetError",
@@ -67,22 +65,11 @@ class QuadratureError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Jet2:
-    """Taylor coefficients of a two-variable function around (-1, -1).
-
-    ``coeffs[i, j]`` multiplies ``(s1 + 1)**i * (s2 + 1)**j``; the array
-    shape fixes the truncation orders.  Instances are immutable.
-    """
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(self.coeffs, dtype=float)
-        if c.ndim != 2:
-            raise ValueError("jet coefficients must be a 2-d array")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+def _coefficients(a) -> np.ndarray:
+    c = np.asarray(a, dtype=float)
+    if c.ndim != 2:
+        raise ValueError("jet coefficients must be a 2-d array")
+    return c
 
 
 def _mul_trunc(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -97,53 +84,33 @@ def _mul_trunc(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _recip_trunc(a: np.ndarray) -> np.ndarray:
-    # Solve a*b = 1 coefficient by coefficient in graded order.
-    if a[0, 0] == 0.0:
-        raise SingularJetError("cannot invert a jet with zero constant term")
-    n1, n2 = a.shape
-    b = np.zeros((n1, n2))
-    inv0 = 1.0 / a[0, 0]
-    b[0, 0] = inv0
-    for total in range(1, n1 + n2 - 1):
-        for i in range(min(total, n1 - 1), -1, -1):
-            j = total - i
-            if j > n2 - 1:
-                continue
-            acc = 0.0
-            for p in range(i + 1):
-                for q in range(j + 1):
-                    if p == 0 and q == 0:
-                        continue
-                    apq = a[p, q]
-                    if apq != 0.0:
-                        acc += apq * b[i - p, j - q]
-            b[i, j] = -acc * inv0
-    return b
+def jet_powneg(a, k: int) -> np.ndarray:
+    """Coefficient array of a**-k for a positive integer k, truncated at a's shape.
 
-
-def jet_powneg(a: Jet2, k: int) -> Jet2:
-    """Raise a jet to the power -k for a positive integer k.
-
-    The reciprocal is obtained by the Leibniz recursion (solving a*b = 1
-    order by order), then raised to k by exponentiation by squaring.
+    With N = a / a00 - 1, which has no constant term, a**-k is the binomial
+    series a00**-k * sum_j C(-k, j) N**j, and N**j vanishes past the total
+    degree, so the sum is finite.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError("exponent k must be a positive integer")
-    recip = _recip_trunc(a.coeffs)
-    result = None
-    base = recip
-    e = k
-    while e > 0:
-        if e & 1:
-            result = base.copy() if result is None else _mul_trunc(result, base)
-        e >>= 1
-        if e:
-            base = _mul_trunc(base, base)
-    return Jet2(result)
+    a = _coefficients(a)
+    a00 = a[0, 0]
+    if a00 == 0.0:
+        raise SingularJetError("cannot invert a jet with zero constant term")
+    n = a / a00
+    n[0, 0] = 0.0
+    power = np.zeros_like(n)
+    power[0, 0] = 1.0
+    total = power.copy()
+    for j in range(1, sum(a.shape) - 1):
+        power = _mul_trunc(power, n)
+        total += (-1) ** j * math.comb(k + j - 1, j) * power
+    return a00**-k * total
 
 
-def _exp_trunc(a: np.ndarray) -> np.ndarray:
+def jet_exp(a) -> np.ndarray:
+    """Coefficient array of exp(a), truncated at a's shape."""
+    a = _coefficients(a)
     # d(exp a)/ds = exp(a) * da/ds, solved row 0 along s2 then rows along s1.
     n1, n2 = a.shape
     e = np.zeros((n1, n2))
@@ -164,10 +131,6 @@ def _exp_trunc(a: np.ndarray) -> np.ndarray:
                         acc += p * apq * e[i - p, j - q]
             e[i, j] = acc / i
     return e
-
-
-def jet_exp(a: Jet2) -> Jet2:
-    return Jet2(_exp_trunc(a.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -315,56 +278,32 @@ def integrate_array_detailed(
 
 
 def integrate_detailed(
-    f: Callable[[float], float],
+    f: Callable[[float], float | np.ndarray],
     a: float,
     b: float,
     spec: QuadratureSpec = DEFAULT_SPEC,
     points: Iterable[float] = (),
-) -> tuple[float, float]:
-    """Integrate a scalar integrand; returns (value, error_bound)."""
+) -> tuple[float | np.ndarray, float]:
+    """Integrate an integrand of one node; returns (value, error_bound).
+
+    The value is a float for a float integrand and an array, integrated
+    component-wise, for an array integrand.
+    """
     val, err = integrate_array_detailed(lambda xs: [f(x) for x in xs], a, b, spec, points)
-    return float(val), err
+    return (float(val) if val.ndim == 0 else val), err
 
 
 def integrate(
-    f: Callable[[float], float],
+    f: Callable[[float], float | np.ndarray],
     a: float,
     b: float,
     spec: QuadratureSpec = DEFAULT_SPEC,
     points: Iterable[float] = (),
-) -> float:
+) -> float | np.ndarray:
     return integrate_detailed(f, a, b, spec, points)[0]
 
 
-def integrate_jet_detailed(
-    f: Callable[[float], Jet2],
-    a: float,
-    b: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    points: Iterable[float] = (),
-) -> tuple[Jet2, float]:
-    """Integrate a jet-valued integrand coefficient-wise."""
-    template = f(0.5 * (a + b))
-    if not isinstance(template, Jet2):
-        raise TypeError("integrand must return Jet2")
-
-    def coeff_fn(x: float) -> np.ndarray:
-        jet = f(x)
-        if jet.coeffs.shape != template.coeffs.shape:
-            raise ValueError("integrand returned jets with inconsistent layout")
-        return jet.coeffs
-
-    val, err = integrate_array_detailed(
-        lambda xs: [coeff_fn(x) for x in xs], a, b, spec, points)
-    return Jet2(val), err
-
-
-def integrate_jet(
-    f: Callable[[float], Jet2],
-    a: float,
-    b: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    points: Iterable[float] = (),
-) -> Jet2:
-    return integrate_jet_detailed(f, a, b, spec, points)[0]
-
+# Kept only because perfbench/spans.py patches these names; ROADMAP direction 1
+# moves that instrumentation into the library.
+integrate_jet_detailed = integrate_detailed
+integrate_jet = integrate

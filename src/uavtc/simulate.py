@@ -288,8 +288,19 @@ def shared_pool(workers: int):
 
 def _accumulate(kernel: Callable, args: tuple, reps: int, seed: int, purpose: int,
                 workers: int, width: int) -> np.ndarray:
+    """Sum ``kernel`` over the blocks of ``reps`` replications of the scenario ``args[0]``.
+
+    Checks the run's arguments first, so a bad one never reaches a pool.
+    """
     if not 0 <= operator.index(seed) < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")
+    try:
+        valid = operator.index(reps) >= 1
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"replications must be an integer >= 1, got {reps!r}")
+    check_gap(args[0].t_gap)
     blocks = -(-reps // _BLOCK)
     chunks = min(workers, blocks)
     if chunks <= 1:
@@ -377,6 +388,7 @@ def estimate_joint_success(
     workers: int = 1,
 ) -> JointSuccessEstimate:
     """Joint/marginal/conditional success estimates from one replication stream."""
+    check_threshold(scenario.threshold)
     seed, reps = scenario.seed, scenario.replications
     acc = _accumulate(_joint_kernel, (scenario,), reps, seed, _JOINT, workers, 5)
     joint_c, s0_c, st_c, retx_c, fail_c = (int(v) for v in acc)

@@ -29,7 +29,7 @@ from uavtc.analytic import (
 from uavtc.cli import main as cli_main
 from uavtc.mobility import containment_cdf, displaced_distance
 from uavtc.model import FixedSpeed
-from uavtc.numerics import Jet2, _mul_trunc, jet_exp
+from uavtc.numerics import _mul_trunc, jet_exp
 from uavtc.simulate import (
     estimate_arrivals_departures,
     estimate_conditional_pmf,
@@ -188,8 +188,8 @@ def test_08_jet_derivatives_match_finite_differences():
         oracle = ScalarJointOracle(sc.params, 10.0, sc.t_gap, sc.threshold)
         exponent = laplace_exponent_jet(sc.params, sc.speed, sc.t_gap, sc.threshold)
         orders = (k - 1, k - 1)
-        noise = Jet2(linear_coeffs(orders, 0.0, oracle.noise_rate, oracle.noise_rate))
-        full = _mul_trunc(jet_exp(noise).coeffs, jet_exp(exponent).coeffs)
+        noise = linear_coeffs(orders, 0.0, oracle.noise_rate, oracle.noise_rate)
+        full = _mul_trunc(jet_exp(noise), jet_exp(exponent))
         for i in range(k):
             for j in range(k):
                 fd = richardson_mixed_partial(oracle, i, j) / (

@@ -462,10 +462,17 @@ def test_gamma_factor_coefficients_are_the_binomial_series(k):
             assert got[n, i] == pytest.approx(expect, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_exponent_jet_is_a_k_by_k_array(k):
+    sc = baseline_scenario(k=k)
+    jet = laplace_exponent_jet(sc.params, sc.speed, 1.0, sc.threshold)
+    assert type(jet) is np.ndarray and jet.shape == (k, k)
+
+
 def test_exponent_jet_vanishes_without_interferers():
     sc = baseline_scenario(**{"lambda": 0.0})
     jet = laplace_exponent_jet(sc.params, sc.speed, 1.0, sc.threshold)
-    assert np.all(jet.coeffs == 0.0)
+    assert np.all(jet == 0.0)
 
 
 def test_retransmission_undefined_when_failures_vanish():

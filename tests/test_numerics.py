@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from uavtc import numerics
 from uavtc.numerics import (
-    Jet2,
     QuadratureError,
     QuadratureSpec,
     SingularJetError,
@@ -52,41 +51,40 @@ def test_jet_product_of_shifted_vars():
 
 def _jets(orders=(2, 2), min_const=None):
     def build(draw_vals):
-        c = np.array(draw_vals, dtype=float).reshape(orders[0] + 1, orders[1] + 1)
-        return Jet2(c)
+        return np.array(draw_vals, dtype=float).reshape(orders[0] + 1, orders[1] + 1)
 
     n = (orders[0] + 1) * (orders[1] + 1)
     elems = st.floats(-3, 3, allow_nan=False)
     strat = st.lists(elems, min_size=n, max_size=n).map(build)
     if min_const is not None:
-        strat = strat.filter(lambda j: abs(j.coeffs[0, 0]) >= min_const)
+        strat = strat.filter(lambda j: abs(j[0, 0]) >= min_const)
     return strat
 
 
 @given(_jets(), _jets())
 def test_jet_mul_commutes(a, b):
-    ab, ba = _mul(a.coeffs, b.coeffs), _mul(b.coeffs, a.coeffs)
+    ab, ba = _mul(a, b), _mul(b, a)
     np.testing.assert_allclose(ab, ba, rtol=0, atol=1e-12)
 
 
 @given(_jets())
 def test_jet_mul_identity(a):
-    one = _unit(a.coeffs.shape)
-    np.testing.assert_array_equal(_mul(a.coeffs, one), a.coeffs)
+    one = _unit(a.shape)
+    np.testing.assert_array_equal(_mul(a, one), a)
 
 
 @given(_jets(min_const=0.1))
 @settings(max_examples=200)
 def test_jet_powneg_times_power_is_one(a):
     inv = jet_powneg(a, 1)
-    prod = _mul(a.coeffs, inv.coeffs)
+    prod = _mul(a, inv)
     np.testing.assert_allclose(prod, _unit(prod.shape), rtol=0, atol=1e-9)
 
 
 @given(_jets(orders=(1, 2)))
 @settings(max_examples=200)
 def test_jet_exp_of_negation_inverts(a):
-    prod = _mul(jet_exp(a).coeffs, jet_exp(Jet2(-a.coeffs)).coeffs)
+    prod = _mul(jet_exp(a), jet_exp(-a))
     np.testing.assert_allclose(prod, _unit(prod.shape), rtol=0, atol=1e-8)
 
 
@@ -96,15 +94,25 @@ def test_jet_powneg_matches_binomial_series(k):
     # C(k-1+j, j) q^j (1 - q a)^(-(k+j)); the s2 direction stays constant.
     q, a = 0.37, -1.0
     orders = (4, 2)
-    jet = jet_powneg(Jet2(linear_coeffs(orders, 1.0, -q)), k)
+    jet = jet_powneg(linear_coeffs(orders, 1.0, -q), k)
     for j in range(orders[0] + 1):
         expect = math.comb(k - 1 + j, j) * q**j * (1 - q * a) ** (-(k + j))
-        assert jet.coeffs[j, 0] == pytest.approx(expect, rel=1e-12)
-        assert np.all(jet.coeffs[j, 1:] == 0.0)
+        assert jet[j, 0] == pytest.approx(expect, rel=1e-12)
+        assert np.all(jet[j, 1:] == 0.0)
+
+
+@pytest.mark.parametrize("op", [jet_exp, lambda a: jet_powneg(a, 3)])
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (4, 2)])
+def test_jet_ops_take_lists_or_arrays_and_return_arrays(op, shape):
+    a = linear_coeffs((shape[0] - 1, shape[1] - 1), 1.5, 0.3, -0.2)
+    from_array, from_list = op(a), op(a.tolist())
+    assert type(from_array) is np.ndarray and from_array.shape == shape
+    assert type(from_list) is np.ndarray
+    np.testing.assert_array_equal(from_list, from_array)
 
 
 def test_jet_powneg_rejects_vanishing_constant():
-    zero_const = Jet2(linear_coeffs((1, 1), 1.0, 1.0))
+    zero_const = linear_coeffs((1, 1), 1.0, 1.0)
     with pytest.raises(SingularJetError):
         jet_powneg(zero_const, 2)
 
@@ -113,10 +121,10 @@ def test_jet_coefficients_match_finite_differences():
     # composed {+, *, ^(-k), exp} objective with known smooth scalar form
     orders = (2, 2)
     jet = _mul(
-        jet_exp(Jet2(linear_coeffs(orders, 0.0, 0.3, 0.2))).coeffs,
+        jet_exp(linear_coeffs(orders, 0.0, 0.3, 0.2)),
         _mul(
-            jet_powneg(Jet2(linear_coeffs(orders, 1.0, -0.4)), 2).coeffs,
-            jet_powneg(Jet2(linear_coeffs(orders, 1.0, 0.0, -0.25)), 3).coeffs,
+            jet_powneg(linear_coeffs(orders, 1.0, -0.4), 2),
+            jet_powneg(linear_coeffs(orders, 1.0, 0.0, -0.25), 3),
         ),
     )
 
@@ -277,8 +285,8 @@ def test_array_integrand_on_degenerate_interval_keeps_shape():
 
 def test_integrate_jet_matches_componentwise_scalars():
     def f(x):
-        return Jet2(np.array([[math.sin(x), math.cos(x)],
-                              [x * x, math.exp(-x)]]))
+        return np.array([[math.sin(x), math.cos(x)],
+                         [x * x, math.exp(-x)]])
 
     jet = integrate_jet(f, 0.0, 2.0)
     comps = [
@@ -288,7 +296,7 @@ def test_integrate_jet_matches_componentwise_scalars():
         (1, 1, lambda x: math.exp(-x)),
     ]
     for i, j, g in comps:
-        assert jet.coeffs[i, j] == pytest.approx(integrate(g, 0.0, 2.0), abs=2e-10)
+        assert jet[i, j] == pytest.approx(integrate(g, 0.0, 2.0), abs=2e-10)
 
 
 def test_quadrature_validates_spec():

@@ -339,6 +339,53 @@ def test_bad_counts_are_rejected_before_a_pool_starts(base, monkeypatch, estimat
     assert started == []
 
 
+@pytest.fixture
+def pool_starts(monkeypatch):
+    started = []
+
+    class CountingPool(simulate.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
+    return started
+
+
+@pytest.mark.parametrize("field, value, message", [
+    pytest.param("replications", 0, "replications must be an integer >= 1, got 0", id="reps=0"),
+    pytest.param("replications", -5, "replications must be an integer >= 1, got -5", id="reps=-5"),
+    pytest.param("replications", 1.5, "replications must be an integer >= 1, got 1.5",
+                 id="reps=1.5"),
+    pytest.param("t_gap", -1.0, "t must be finite and >= 0, got -1.0", id="t=-1"),
+])
+@pytest.mark.parametrize("estimate", [
+    lambda sc: estimate_joint_success(sc, workers=2),
+    lambda sc: estimate_conditional_pmf(3, sc, n_max=5, workers=2),
+    lambda sc: estimate_conditional_success(3, sc, workers=2),
+    lambda sc: estimate_arrivals_departures(3, sc, workers=2),
+], ids=["joint", "pmf", "success", "arrivals"])
+def test_bad_runs_are_rejected_before_a_pool_starts(base, pool_starts, estimate, field, value,
+                                                    message):
+    # replications 0 used to divide by zero (a pmf of nans), -5 to give estimates of -0.0
+    with pytest.raises(ValueError, match=message):
+        estimate(dataclasses.replace(base, **{field: value}))
+    assert pool_starts == []
+
+
+def test_numpy_integer_replications_keep_their_results(base):
+    plain = estimate_joint_success(dataclasses.replace(base, replications=300))
+    via_numpy = estimate_joint_success(dataclasses.replace(base, replications=np.int64(300)))
+    assert via_numpy == plain
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0])
+def test_joint_success_rejects_bad_thresholds(base, threshold):
+    # nan and inf used to read as success 0.0 and -1.0 as success 1.0
+    with pytest.raises(ValueError, match="threshold must be finite and >= 0, got"):
+        estimate_joint_success(dataclasses.replace(base, replications=10, threshold=threshold))
+
+
 @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0])
 def test_conditional_success_rejects_bad_thresholds(base, threshold):
     # nan used to read as success 0.0 and -1.0 as success 1.0
