@@ -12,6 +12,7 @@ from .analytic import (
     mean_departures,
     retransmission_report,
     success_report,
+    success_reports,
     unconditional_interferer_pmf,
 )
 from .mobility import containment_cdf, displaced_distance

@@ -368,84 +368,154 @@ def _integrate_mapped(f, a: float, b: float, points) -> tuple[np.ndarray, float]
     return integrate_array_detailed(mapped, 0.0, float(n), SPEC, points=range(1, n))
 
 
+# cap on the direction nodes times thresholds that one batch of the bracket
+# holds, which bounds the transient memory of a threshold grid
+_BATCH = 1 << 15
+
+
 class _Exponent:
     """Taylor coefficients around (-1, -1) of the joint and both marginal exponents.
 
-    A fading factor contributes the coefficient vector ``series(d2)``.  The
-    radial integrand is x (D - a1 b1^T) with a1 = (1, a), b1 = (1, b) and D
-    one on the leading 2 x 2 block (see the module docstring).
+    One instance serves a grid of thresholds.  Of a fading factor
+    (1 - q s)^(-k) only q depends on the threshold, as threshold / g_main
+    times ``attenuation(d2)``, so the geometry of every node is computed
+    once for the whole grid.  The radial integrand is x (D - a1 b1^T) per
+    threshold, with a1 = (1, a), b1 = (1, b) and D one on the leading 2 x 2
+    block (see the module docstring).
     """
 
-    def __init__(self, params, threshold):
+    def __init__(self, params, thresholds):
         self.params = params
         k = params.fading.k
         self.k = k
         self.binom = np.array([math.comb(k + i - 1, i) for i in range(k)], dtype=float)
-        self.powers = np.arange(k)
-        self.scale = threshold / params.antenna.g_main
+        self.scale = np.asarray(thresholds, dtype=float) / params.antenna.g_main
         self.h2 = params.height * params.height
         self.half_alpha = params.alpha / 2.0
+        self.radii_sq = np.array([params.antenna.r_in, params.antenna.r_out]) ** 2
+        nodes, rule = _direction_rule()
+        # the direction rule on a panel of half-width h: angles start + h *
+        # offsets, and weights h * rule, which include the mobile share p and
+        # the 1 / pi of the average over [0, pi]
+        self.offsets = 1.0 + nodes
+        self.rule = (params.p_mobile / math.pi) * rule
+
+    def attenuation(self, d2: np.ndarray) -> np.ndarray:
+        """Gain times path loss relative to the serving link's, at squared distances d2."""
+        return self.params.antenna.gain_at_sq(d2) * (self.h2 / (self.h2 + d2)) ** self.half_alpha
+
+    def _powers(self, gq: np.ndarray):
+        """Yield r^k (q r)^i for i = 0..k-1, r = 1/(1+q), at the ``attenuation`` values gq.
+
+        Times C(k+i-1, i) they are the coefficients of (1 - q s)^(-k), one
+        row per node and one column per threshold.  They come by repeated
+        multiplication, and each yielded array is updated in place by the
+        next step.
+        """
+        q = gq[:, None] * self.scale
+        r = np.reciprocal(q + 1.0)
+        power = r
+        for _ in range(1, self.k):
+            power = power * r
+        yield power
+        if self.k > 1:
+            q *= r
+            for _ in range(1, self.k):
+                power *= q
+                yield power
 
     def series(self, d2: np.ndarray) -> np.ndarray:
-        """Coefficients of (1 - q s)^(-k) for q at squared distances d2, shape (n, k)."""
-        q = (self.scale * self.params.antenna.gain_at_sq(d2)
-             * (self.h2 / (self.h2 + d2)) ** self.half_alpha)[:, None]
-        return self.binom * (1.0 + q) ** -self.k * (q / (1.0 + q)) ** self.powers
+        """Coefficients of (1 - q s)^(-k) at squared distances d2, shape (n, T, k)."""
+        powers = [power.copy() for power in self._powers(self.attenuation(d2))]
+        return np.stack(powers, axis=-1) * self.binom
 
-    def at_distance(self, vt: float) -> tuple[np.ndarray, float]:
-        """The exponents when every mobile node moves the distance vt; (array, error bound)."""
+    def _bracket(self, x: np.ndarray, vt: float) -> np.ndarray:
+        """The radial integrand at the nodes x, shape (n, T, k+1, k+1)."""
         ant = self.params.antenna
         p = self.params.p_mobile
-        points = {ant.r_in, ant.r_out}
-        for r in (ant.r_in, ant.r_out):
-            points.update((abs(r - vt), r + vt))
-
-        def bracket(x: np.ndarray) -> np.ndarray:
-            # direction angles in [0, pi], split where the moved node
-            # crosses a gain boundary; one row of cuts per node, padded
-            # with pi (zero-length, zero-weight panels)
-            cuts = [np.zeros_like(x), np.full_like(x, math.pi)]
-            if vt > 0.0:
-                for r in (ant.r_in, ant.r_out):
-                    crosses = (abs(x - vt) < r) & (r < x + vt)
-                    cosine = np.clip((x * x + vt * vt - r * r) / (2.0 * x * vt), -1.0, 1.0)
-                    cuts.append(np.where(crosses, np.arccos(cosine), math.pi))
+        k = self.k
+        # direction angles in [0, pi], split where the moved node crosses a
+        # gain boundary; a cut that does not fall inside (0, pi) lands on an
+        # end and leaves a zero-length panel
+        base, xvt = x * x + vt * vt, 2.0 * x * vt
+        cuts = [np.zeros((len(x), 1)), np.full((len(x), 1), math.pi)]
+        if vt > 0.0:
+            # for a tiny vt the quotients overflow to +-inf, which is their limit
+            with np.errstate(divide="ignore", over="ignore"):
+                crossing = (base[:, None] - self.radii_sq) / xvt[:, None]
+                cuts.append(np.arccos(np.clip(crossing, -1.0, 1.0)))
                 # the path loss is singular at phi = +-i*pole, close to the
                 # real axis when nodes fly low; panels doubling in length
                 # from phi = 0 each stay as far from it as they are long
-                pole = np.arccosh(1.0 + (self.h2 + (x - vt) ** 2) / (2.0 * x * vt))
-                while (pole < math.pi).any():
-                    cuts.append(np.where(pole < math.pi, pole, math.pi))
-                    pole = 2.0 * pole
-            nodes, weights = _direction_rule()
-            cuts = np.sort(np.stack(cuts, axis=1), axis=1)
-            half = 0.5 * np.diff(cuts, axis=1)[:, :, None]
-            phi = (cuts[:, :-1, None] + half * (1.0 + nodes)).reshape(len(x), -1)
-            weights = (half * weights).reshape(len(x), -1) / math.pi
-            x2 = (x * x)[:, None]
-            d2 = np.concatenate((x2, x2 + vt * vt - 2.0 * x[:, None] * vt * np.cos(phi)), axis=1)
-            terms = self.series(d2.ravel()).reshape(*d2.shape, self.k)
-            b = p * np.einsum("nm,nmk->nk", weights, terms[:, 1:]) + (1.0 - p) * terms[:, 0]
-            one = np.ones((len(x), 1))
-            a1, b1 = np.hstack((one, terms[:, 0])), np.hstack((one, b))
-            out = -x[:, None, None] * (a1[:, :, None] * b1[:, None, :])
-            out[:, :2, :2] += x[:, None, None]
-            return out
+                pole = np.arccosh(1.0 + (self.h2 + (x - vt) ** 2) / xvt)
+            doublings, smallest = 0, pole.min()
+            while smallest < math.pi:
+                doublings, smallest = doublings + 1, 2.0 * smallest
+            cuts.append(np.minimum(pole[:, None] * 2.0 ** np.arange(doublings), math.pi))
+        cuts = np.concatenate(cuts, axis=1)
+        cuts.sort(axis=1)
+        half = 0.5 * np.diff(cuts, axis=1)
+        # only the panels of positive length, grouped by node; every node
+        # has one, as its panels cover [0, pi]
+        row, col = np.nonzero(half > 0.0)
+        start, half = cuts[row, col], half[row, col]
+        # no panel straddles a gain boundary, so its midpoint gives its gain
+        gain = ant.gain_at_sq(base[row] - xvt[row] * np.cos(start + half))
+        # h^2 + d^2 at the direction nodes, grouped by radial node
+        far = (self.h2 + base)[row, None] - xvt[row, None] * np.cos(
+            start[:, None] + half[:, None] * self.offsets)
+        around = (gain[:, None] * (self.h2 / far) ** self.half_alpha).ravel()
+        weights = (half[:, None] * self.rule).ravel()[:, None]
+        at_x = self.attenuation(x * x)
+        # each radial node's first direction node, and their count at the end
+        first = len(self.offsets) * np.searchsorted(row, np.arange(len(x) + 1))
+        a1 = np.ones((len(x), len(self.scale), k + 1))
+        b1 = np.ones_like(a1)
+        cap = _BATCH // len(self.scale)
+        lo = 0
+        while lo < len(x):  # batches of whole radial nodes, as many as fit the cap
+            hi = max(lo + 1, int(np.searchsorted(first, first[lo] + cap, side="right")) - 1)
+            nodes = slice(first[lo], first[hi])
+            pairs = zip(self._powers(at_x[lo:hi]), self._powers(around[nodes]))
+            for i, (static, mobile) in enumerate(pairs, 1):
+                a1[lo:hi, :, i] = static
+                b1[lo:hi, :, i] = np.add.reduceat(weights[nodes] * mobile, first[lo:hi] - first[lo])
+            lo = hi
+        b1[:, :, 1:] += (1.0 - p) * a1[:, :, 1:]  # a static node stays at x
+        a1[:, :, 1:] *= self.binom
+        b1[:, :, 1:] *= self.binom
+        out = a1[:, :, :, None] * b1[:, :, None, :]
+        out *= -x[:, None, None, None]
+        out[:, :, :2, :2] += x[:, None, None, None]
+        return out
 
-        raw, err = _integrate_mapped(bracket, 0.0, ant.r_out + vt, points)
+    def at_distance(self, vt: float) -> tuple[np.ndarray, float]:
+        """The exponents when every mobile node moves the distance vt; ((T, k+1, k+1), bound)."""
+        ant = self.params.antenna
+        points = {ant.r_in, ant.r_out}
+        for r in (ant.r_in, ant.r_out):
+            points.update((abs(r - vt), r + vt))
+        raw, err = _integrate_mapped(lambda x: self._bracket(x, vt), 0.0, ant.r_out + vt, points)
         scale = TWO_PI * self.params.lam
         return -scale * raw, scale * err
 
 
-def _exponent_detailed(params, speed, t, threshold):
-    """The (k+1) x (k+1) exponent array of ``_Exponent`` at gap t and its error bound."""
+def _exponent_detailed(params, speed, t, thresholds):
+    """The (T, k+1, k+1) exponent arrays of ``_Exponent`` at gap t and their shared error bound.
+
+    A zero threshold, or no interferers, gives the exact zero exponent.
+    """
     k = params.fading.k
-    if params.lam == 0.0 or threshold == 0.0:
-        return np.zeros((k + 1, k + 1)), 0.0
-    ctx = _Exponent(params, threshold)
+    thresholds = np.asarray(thresholds, dtype=float)
+    exponents = np.zeros((len(thresholds), k + 1, k + 1))
+    live = thresholds > 0.0
+    if params.lam == 0.0 or not live.any():
+        return exponents, 0.0
+    ctx = _Exponent(params, thresholds[live])
     mobile = params.p_mobile > 0.0 and speed.support_max * t > 0.0
     if not mobile or speed.atom is not None:
-        return ctx.at_distance(speed.atom * t if mobile else 0.0)
+        exponents[live], err = ctx.at_distance(speed.atom * t if mobile else 0.0)
+        return exponents, err
 
     # E is linear in the speed law: average the fixed-speed exponent over v
     worst_inner = 0.0
@@ -463,9 +533,9 @@ def _exponent_detailed(params, speed, t, threshold):
     # become tangent, and at the breakpoints of the density
     radii = (params.antenna.r_in, params.antenna.r_out)
     tangent = [abs(a + sign * b) / t for a in radii for b in radii for sign in (-1.0, 1.0)]
-    coeffs, err = _integrate_mapped(
+    exponents[live], err = _integrate_mapped(
         at_speed, speed.support_min, speed.support_max, (*speed.pdf_breakpoints, *tangent))
-    return coeffs, err + worst_inner
+    return exponents, err + worst_inner
 
 
 def laplace_exponent_jet(
@@ -480,7 +550,7 @@ def laplace_exponent_jet(
     around (-1, -1).  The sum of the entries of its ``numerics.jet_exp`` is
     the interference part of the joint success probability.
     """
-    return _exponent_detailed(params, speed, t, threshold)[0][1:, 1:]
+    return _exponent_detailed(params, speed, t, (threshold,))[0][0, 1:, 1:]
 
 
 def _probability(exponent: np.ndarray, noise: float, instants: int) -> float:
@@ -498,15 +568,27 @@ def _probability(exponent: np.ndarray, noise: float, instants: int) -> float:
     return min(max(value, 0.0), 1.0)
 
 
+def _success_grid(params, speed, t, thresholds):
+    """Joint, time-0 and time-t success at gap t per threshold, and the grid's error bound."""
+    check_gap(t)
+    thresholds = list(thresholds)
+    for threshold in thresholds:
+        check_threshold(threshold)
+    exponents, err = _exponent_detailed(params, speed, t, thresholds)
+    rows = []
+    for threshold, exponent in zip(thresholds, exponents):
+        c = threshold * params.height**params.alpha / (params.fading.omega * params.antenna.g_main)
+        noise = c * params.noise
+        rows.append((_probability(exponent[1:, 1:], noise, 2),
+                     _probability(exponent[1:, :1], noise, 1),
+                     _probability(exponent[:1, 1:], noise, 1)))
+    return rows, err
+
+
 def _success_detailed(params, speed, t, threshold):
     """Joint, time-0 and time-t success at gap t, and the quadrature error bound."""
-    check_gap(t)
-    check_threshold(threshold)
-    exponent, err = _exponent_detailed(params, speed, t, threshold)
-    c = threshold * params.height**params.alpha / (params.fading.omega * params.antenna.g_main)
-    noise = c * params.noise
-    return (_probability(exponent[1:, 1:], noise, 2), _probability(exponent[1:, :1], noise, 1),
-            _probability(exponent[:1, 1:], noise, 1), err)
+    (row,), err = _success_grid(params, speed, t, (threshold,))
+    return (*row, err)
 
 
 def joint_success(
@@ -542,6 +624,26 @@ def marginal_success(
     raise ValueError("which must be 'time0' or 'timeT'")
 
 
+def success_reports(params: NetworkParams, speed: SpeedDistribution, t: float,
+                    thresholds) -> list[SuccessReport]:
+    """:func:`success_report` for each of ``thresholds``, from one integral at gap t.
+
+    The grid shares its radial integrals, which refine on the worst of its
+    components, so every report carries the grid's one error bound.
+    """
+    rows, err = _success_grid(params, speed, t, thresholds)
+    reports = []
+    for p_joint, p_m, _ in rows:
+        if p_joint > p_m + _TAIL_EPS:
+            log.warning("joint success %.12g exceeds the marginal %.12g", p_joint, p_m)
+        p_joint = min(p_joint, p_m)
+        retx = min(max((p_m - p_joint) / (1.0 - p_m), 0.0), 1.0) if p_m < 1.0 - 1e-12 else None
+        reports.append(SuccessReport(p_joint=p_joint, p_marginal_0=p_m, p_marginal_t=p_m,
+                                     p_retx_given_fail=retx, p_independent_joint=p_m * p_m,
+                                     quadrature_error_bound=err))
+    return reports
+
+
 def success_report(params: NetworkParams, speed: SpeedDistribution, t: float,
                    threshold: float) -> SuccessReport:
     """Joint, marginal and failure-conditioned retry success from one integral at gap t.
@@ -551,14 +653,7 @@ def success_report(params: NetworkParams, speed: SpeedDistribution, t: float,
     (p_marginal - p_joint) / (1 - p_marginal) is None where the first
     failure has vanishing probability.
     """
-    p_joint, p_m, _, err = _success_detailed(params, speed, t, threshold)
-    if p_joint > p_m + _TAIL_EPS:
-        log.warning("joint success %.12g exceeds the marginal %.12g", p_joint, p_m)
-    p_joint = min(p_joint, p_m)
-    retx = min(max((p_m - p_joint) / (1.0 - p_m), 0.0), 1.0) if p_m < 1.0 - 1e-12 else None
-    return SuccessReport(p_joint=p_joint, p_marginal_0=p_m, p_marginal_t=p_m,
-                         p_retx_given_fail=retx, p_independent_joint=p_m * p_m,
-                         quadrature_error_bound=err)
+    return success_reports(params, speed, t, (threshold,))[0]
 
 
 def retransmission_report(params: NetworkParams, speed: SpeedDistribution, t: float,

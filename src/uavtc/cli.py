@@ -113,22 +113,27 @@ def _version_string() -> str:
 # ---------------------------------------------------------------------------
 
 
-def _sinr_points(spec: ExperimentSpec, report, sweep_tdb: bool = True):
+def _sinr_points(spec: ExperimentSpec, reports, sweep_tdb: bool = True):
     """Yield (t, dB, analytic report, Monte Carlo estimate) over the (t, threshold) grid.
 
-    ``report`` is the analytic report function.  Without ``sweep_tdb`` the
-    one threshold is the scenario's own and dB is None.
+    ``reports`` maps (params, speed, t, thresholds) to one analytic report
+    per threshold.  Each gap takes one analytic call and one Monte Carlo
+    stream for its whole threshold grid.  Without ``sweep_tdb`` the one
+    threshold is the scenario's own and dB is None.
     """
     sc = spec.scenario
+    dbs = spec.sweep_tdb if sweep_tdb else (None,)
+    thresholds = [sc.threshold if db is None else db_to_linear(db) for db in dbs]
     for t in spec.sweep_t:
-        for db in spec.sweep_tdb if sweep_tdb else (None,):
-            threshold = sc.threshold if db is None else db_to_linear(db)
-            rep = report(sc.params, sc.speed, t, threshold)
-            est = simulate.estimate_joint_success(
-                replace(sc, t_gap=float(t), threshold=threshold), workers=spec.workers
-            )
-            log.info("%s t=%g threshold=%g", spec.kind, t, threshold)
-            yield t, db, rep, est
+        reps = reports(sc.params, sc.speed, t, thresholds)
+        ests = simulate._estimate_joint_grid(
+            replace(sc, t_gap=float(t)), thresholds, workers=spec.workers)
+        log.info("%s t=%g: %d thresholds", spec.kind, t, len(thresholds))
+        yield from ((t, db, rep, est) for db, rep, est in zip(dbs, reps, ests))
+
+
+def _retransmission_reports(params, speed, t, thresholds):
+    return [analytic.retransmission_report(params, speed, t, threshold) for threshold in thresholds]
 
 
 def _pmf_points(spec: ExperimentSpec):
@@ -177,18 +182,18 @@ def _rows_conditional_success(spec: ExperimentSpec):
 
 
 def _rows_retransmission(spec: ExperimentSpec):
-    for t, _, rep, est in _sinr_points(spec, analytic.retransmission_report, sweep_tdb=False):
+    for t, _, rep, est in _sinr_points(spec, _retransmission_reports, sweep_tdb=False):
         yield [t, rep.p_retx_given_fail, *_estimate(est.retx_given_fail), rep.p_marginal_t]
 
 
 def _rows_joint_success(spec: ExperimentSpec):
-    for t, db, rep, est in _sinr_points(spec, analytic.success_report):
+    for t, db, rep, est in _sinr_points(spec, analytic.success_reports):
         yield [t, db, rep.p_joint, *_estimate(est.joint),
                rep.p_marginal_0, rep.p_marginal_t, rep.p_independent_joint]
 
 
 def _rows_compare(spec: ExperimentSpec):
-    for t, db, rep, est in _sinr_points(spec, analytic.success_report):
+    for t, db, rep, est in _sinr_points(spec, analytic.success_reports):
         for name in ("joint", "marginal_0", "marginal_t", "retx_given_fail"):
             a_val, e = getattr(rep, f"p_{name}"), getattr(est, name)
             yield [name, None, t, db, None, a_val, *_estimate(e), _z_or_none(a_val, e)]

@@ -246,7 +246,9 @@ def _adaptive(f, breakpoints: Sequence[float], spec: QuadratureSpec):
         halves = (np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]]))
         fresh = (*halves, *_gk15(f, *halves))
         # the bisected segments give way to their halves, appended at the end
-        lo, hi, val, err = [np.concatenate([np.delete(old, split, axis=0), new])
+        kept = np.ones(lo.size, dtype=bool)
+        kept[split] = False
+        lo, hi, val, err = [np.concatenate([old[kept], new])
                             for old, new in zip((lo, hi, val, err), fresh)]
         splits += split.size
 

@@ -326,18 +326,22 @@ def _accumulate(kernel: Callable, args: tuple, reps: int, seed: int, purpose: in
 # ---------------------------------------------------------------------------
 
 
-def _joint_kernel(rng, size: int, scenario: ValidatedScenario) -> np.ndarray:
+def _joint_kernel(rng, size: int, scenario: ValidatedScenario,
+                  thresholds: np.ndarray) -> np.ndarray:
+    """Five success counts per threshold, threshold by threshold, from one block."""
     p = scenario.params
     block = sample_network(p, scenario.speed, scenario.t_gap, rng, size=size)
     i0 = _block_interference(block, p, "0", rng, size)
     it = _block_interference(block, p, "t", rng, size)
-    (s0,) = _block_success(scenario, i0, rng, scenario.threshold)
-    (st,) = _block_success(scenario, it, rng, scenario.threshold)
-    return np.array(
-        [np.count_nonzero(s0 & st), np.count_nonzero(s0), np.count_nonzero(st),
-         np.count_nonzero(st & ~s0), np.count_nonzero(~s0)],
-        dtype=np.int64,
-    )
+    s0 = _block_success(scenario, i0, rng, thresholds)
+    st = _block_success(scenario, it, rng, thresholds)
+    counts = np.empty((len(thresholds), 5), dtype=np.int64)
+    counts[:, 0] = (s0 & st).sum(axis=1)
+    counts[:, 1] = s0.sum(axis=1)
+    counts[:, 2] = st.sum(axis=1)
+    counts[:, 3] = counts[:, 2] - counts[:, 0]  # success at t after a failure at 0
+    counts[:, 4] = size - counts[:, 1]  # failure at 0
+    return counts.ravel()
 
 
 def _inside_at_t(m: int, scenario: ValidatedScenario, rng, size: int):
@@ -388,17 +392,30 @@ def estimate_joint_success(
     workers: int = 1,
 ) -> JointSuccessEstimate:
     """Joint/marginal/conditional success estimates from one replication stream."""
-    check_threshold(scenario.threshold)
+    return _estimate_joint_grid(scenario, (scenario.threshold,), workers)[0]
+
+
+def _estimate_joint_grid(scenario: ValidatedScenario, thresholds: Sequence[float],
+                         workers: int = 1) -> list[JointSuccessEstimate]:
+    """:func:`estimate_joint_success` at each of ``thresholds``, from one replication stream.
+
+    Each threshold's estimates equal those of its own call bit for bit:
+    the thresholds only enter the comparisons of one shared draw.
+    """
+    grid = np.asarray(list(thresholds), dtype=float)
+    for threshold in grid.tolist():
+        check_threshold(threshold)
     seed, reps = scenario.seed, scenario.replications
-    acc = _accumulate(_joint_kernel, (scenario,), reps, seed, _JOINT, workers, 5)
-    joint_c, s0_c, st_c, retx_c, fail_c = (int(v) for v in acc)
-    retx = _bernoulli_result(retx_c, fail_c, seed) if fail_c > 0 else None
-    return JointSuccessEstimate(
-        joint=_bernoulli_result(joint_c, reps, seed),
-        marginal_0=_bernoulli_result(s0_c, reps, seed),
-        marginal_t=_bernoulli_result(st_c, reps, seed),
-        retx_given_fail=retx,
-    )
+    acc = _accumulate(_joint_kernel, (scenario, grid), reps, seed, _JOINT, workers, 5 * len(grid))
+    estimates = []
+    for joint_c, s0_c, st_c, retx_c, fail_c in acc.reshape(-1, 5).tolist():
+        estimates.append(JointSuccessEstimate(
+            joint=_bernoulli_result(joint_c, reps, seed),
+            marginal_0=_bernoulli_result(s0_c, reps, seed),
+            marginal_t=_bernoulli_result(st_c, reps, seed),
+            retx_given_fail=_bernoulli_result(retx_c, fail_c, seed) if fail_c > 0 else None,
+        ))
+    return estimates
 
 
 def estimate_conditional_pmf(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 
 from uavtc import analytic, numerics
 from uavtc.model import NetworkParams, ValidatedScenario, config_from_dict, validate
@@ -65,6 +66,22 @@ def baseline_scenario(**overrides) -> ValidatedScenario:
     raw = dict(BASELINE_CONFIG)
     raw.update(overrides)
     return validate(config_from_dict(raw))
+
+
+def assert_reports_match(got, want, tol: float) -> None:
+    """Each report of ``got`` equals its twin in ``want`` within ``tol``.
+
+    The retry success divides by 1 - p_marginal, so its tolerance does too.
+    """
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for name in ("p_joint", "p_marginal_0", "p_marginal_t", "p_independent_joint"):
+            assert getattr(g, name) == pytest.approx(getattr(w, name), abs=tol), name
+        if w.p_retx_given_fail is None:
+            assert g.p_retx_given_fail is None
+        else:
+            assert g.p_retx_given_fail == pytest.approx(
+                w.p_retx_given_fail, abs=tol / (1.0 - w.p_marginal_0))
 
 
 def count_passes(monkeypatch) -> list:

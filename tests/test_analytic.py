@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from uavtc.analytic import (
     marginal_success,
     mean_departures,
     retransmission_report,
+    success_report,
+    success_reports,
     unconditional_interferer_pmf,
 )
 from uavtc.mobility import containment_cdf
@@ -27,6 +30,7 @@ from uavtc.numerics import QuadratureSpec
 import helpers
 from helpers import (
     ScalarJointOracle,
+    assert_reports_match,
     baseline_scenario,
     count_passes,
     count_radial_integrals,
@@ -454,7 +458,7 @@ def test_gamma_factor_coefficients_are_the_binomial_series(k):
     h2 = p.height ** 2
     gain = np.where(d2 <= ant.r_in ** 2, ant.g_main, np.where(d2 <= ant.r_out ** 2, ant.g_side, 0.0))
     q = threshold / ant.g_main * gain * (h2 / (h2 + d2)) ** (p.alpha / 2.0)
-    got = analytic._Exponent(p, threshold).series(d2)
+    got = analytic._Exponent(p, [threshold]).series(d2)[:, 0]
     assert got.shape == (len(d2), k)
     for n, qn in enumerate(q):
         for i in range(k):
@@ -559,3 +563,80 @@ def test_mapped_integrand_is_called_once_per_pass(monkeypatch):
     assert len(passes) >= 1
     assert passes[0] == [(0.0, 1.0), (1.0, 2.0)]  # one u segment per x segment
     assert sizes == [(15 * len(segments),) for segments in passes]
+
+
+# ---------------------------------------------------------------------------
+# threshold grids
+# ---------------------------------------------------------------------------
+
+GRID_THRESHOLDS = [0.0] + [10.0 ** (db / 10.0) for db in (-80, -40, -20, -10, 0, 10)]
+
+
+@pytest.mark.parametrize("speed", [FixedSpeed(10.0), UniformSpeed(5.0, 15.0)],
+                         ids=["fixed", "uniform"])
+@pytest.mark.parametrize("t", [0.0, 1.0, 5.0])
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_threshold_grid_matches_single_reports(k, t, speed):
+    # the grid's integrals refine on its worst component; every threshold
+    # keeps the value of its own call
+    params = baseline_scenario(k=k, omega=1.0 / k).params
+    grid = success_reports(params, speed, t, GRID_THRESHOLDS)
+    singles = [success_report(params, speed, t, threshold) for threshold in GRID_THRESHOLDS]
+    assert_reports_match(grid, singles, 1e-13)
+    assert len({report.quadrature_error_bound for report in grid}) == 1
+    assert grid[0].quadrature_error_bound <= 1e-6
+
+
+def test_zero_threshold_in_a_grid_has_the_exact_zero_exponent(base):
+    exponents, _ = analytic._exponent_detailed(base.params, base.speed, 1.0, [0.0, 0.1, 0.0])
+    assert np.all(exponents[[0, 2]] == 0.0) and np.any(exponents[1] != 0.0)
+    zero, _, again = success_reports(base.params, base.speed, 1.0, [0.0, 0.1, 0.0])
+    assert zero.p_joint == zero.p_marginal_0 == again.p_joint == 1.0
+
+
+def test_grid_without_interferers_has_the_exact_zero_exponent():
+    params = baseline_scenario(**{"lambda": 0.0}).params
+    exponents, err = analytic._exponent_detailed(params, FixedSpeed(10.0), 1.0, [0.1, 1.0])
+    assert np.all(exponents == 0.0) and err == 0.0
+
+
+def test_grid_rejects_a_bad_threshold(base):
+    with pytest.raises(ValueError, match="threshold must be finite and >= 0"):
+        success_reports(base.params, base.speed, 1.0, [0.1, math.nan])
+
+
+def test_grid_is_one_radial_integral_per_gap(base, monkeypatch):
+    calls = count_radial_integrals(monkeypatch)
+    success_reports(base.params, base.speed, 1.0, GRID_THRESHOLDS)
+    assert len(calls) == 1
+
+
+def _peak_kib(call) -> float:
+    call()  # first use builds cached rules
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1024.0
+    finally:
+        tracemalloc.stop()
+
+
+# tracemalloc peaks of one success_report before the bracket was batched
+_REPORT_PEAK_KIB = {(1, 1.0): 449, (1, 5.0): 694, (2, 1.0): 699, (2, 5.0): 1012,
+                    (8, 1.0): 1433, (8, 5.0): 2154}
+
+
+@pytest.mark.parametrize("k, t", sorted(_REPORT_PEAK_KIB))
+def test_report_memory_does_not_grow(k, t):
+    sc = baseline_scenario(k=k, omega=1.0 / k)
+    peak = _peak_kib(lambda: success_report(sc.params, sc.speed, t, 0.1))
+    assert peak <= _REPORT_PEAK_KIB[k, t]
+
+
+def test_threshold_grid_memory_is_bounded():
+    # unbatched, a 16-threshold grid held 9-15 MiB at once
+    sc = baseline_scenario(k=2, omega=0.5)
+    thresholds = [10.0 ** (db / 10.0) for db in range(-20, 12, 2)]
+    assert len(thresholds) == 16
+    peak = _peak_kib(lambda: success_reports(sc.params, sc.speed, 5.0, thresholds))
+    assert peak < 3 * 1024

@@ -157,6 +157,16 @@ def test_joint_success_point_is_one_radial_integral(runner, config_path, tmp_pat
     assert len(calls) == 1
 
 
+def test_joint_success_grid_is_one_radial_integral_per_gap(runner, config_path, tmp_path,
+                                                           monkeypatch):
+    calls = count_radial_integrals(monkeypatch)
+    result = runner.invoke(main, [
+        "joint-success", "--config", config_path, "--sweep-t", "1,5", "--replications", "300",
+        "--sweep-tdb", "-10,0,5", "--out", str(tmp_path / "js")])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 2
+
+
 def test_joint_success_runs_where_the_retry_is_undefined(runner, config_path, tmp_path):
     # at -80 dB the first attempt almost never fails, so the retry success is
     # undefined; joint-success does not print it and must still succeed

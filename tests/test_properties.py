@@ -1,4 +1,4 @@
-"""Properties of the analytic count rates over randomly drawn speed laws."""
+"""Properties of the analytic count rates and success reports over random scenarios."""
 
 import math
 
@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uavtc.analytic import footprint_egress_integral, footprint_ingress_integral
+from uavtc.analytic import (
+    footprint_egress_integral, footprint_ingress_integral, success_report, success_reports)
 from uavtc.model import TabulatedSpeed, UniformSpeed
 
-from helpers import baseline_scenario, stay_probability_oracle
+from helpers import assert_reports_match, baseline_scenario, stay_probability_oracle
 
 PARAMS = baseline_scenario().params
 R = PARAMS.antenna.r_out
@@ -55,3 +56,34 @@ def test_stay_probability_properties(law, fraction, stretch):
     # flow balance: the arrivals replace the departures of a full footprint
     flow = PARAMS.lam * PARAMS.p_mobile * math.pi * R * R * (1.0 - stay)
     assert footprint_egress_integral(PARAMS, law, t) == pytest.approx(flow, rel=1e-12, abs=1e-15)
+
+
+@st.composite
+def sinr_scenarios(draw):
+    """A valid fixed-speed scenario, drawn field by field around the baseline."""
+    k = draw(st.integers(1, 8))
+    r_out = draw(st.floats(5.0, 60.0))
+    g_main = draw(st.floats(0.5, 10.0))
+    return baseline_scenario(**{
+        "lambda": draw(st.floats(1e-4, 0.02)),
+        "p_mobile": draw(st.floats(0.0, 1.0)),
+        "height": draw(st.floats(2.0, 200.0)),
+        "alpha": draw(st.floats(2.1, 6.0)),
+        "k": k,
+        "omega": 1.0 / k,
+        "g_main": g_main,
+        "g_side": g_main * draw(st.floats(0.0, 1.0)),
+        "r_in": r_out * draw(st.floats(0.1, 0.95)),
+        "r_out": r_out,
+        "speed": {"kind": "fixed", "v": draw(st.floats(0.0, 40.0))},
+    })
+
+
+@settings(max_examples=40, deadline=None)
+@given(sc=sinr_scenarios(), t=st.floats(0.0, 10.0),
+       dbs=st.lists(st.floats(-60.0, 20.0), min_size=1, max_size=4))
+def test_threshold_grid_matches_single_reports(sc, t, dbs):
+    thresholds = [10.0 ** (db / 10.0) for db in dbs]
+    grid = success_reports(sc.params, sc.speed, t, thresholds)
+    singles = [success_report(sc.params, sc.speed, t, threshold) for threshold in thresholds]
+    assert_reports_match(grid, singles, 1e-13)

@@ -386,6 +386,26 @@ def test_joint_success_rejects_bad_thresholds(base, threshold):
         estimate_joint_success(dataclasses.replace(base, replications=10, threshold=threshold))
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_joint_grid_columns_equal_single_threshold_runs(base, workers):
+    # the grid compares one shared draw against every threshold
+    sc = dataclasses.replace(base, replications=700)
+    thresholds = [0.0, 0.01, 0.1, 1.0, 10.0]
+    with simulate.shared_pool(workers):
+        grid = simulate._estimate_joint_grid(sc, thresholds, workers=workers)
+        singles = [estimate_joint_success(dataclasses.replace(sc, threshold=threshold),
+                                          workers=workers) for threshold in thresholds]
+    assert grid == singles
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0])
+def test_joint_grid_rejects_bad_thresholds_before_a_pool_starts(base, pool_starts, threshold):
+    with pytest.raises(ValueError, match="threshold must be finite and >= 0, got"):
+        simulate._estimate_joint_grid(dataclasses.replace(base, replications=1000),
+                                      [0.1, threshold], workers=2)
+    assert pool_starts == []
+
+
 @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0])
 def test_conditional_success_rejects_bad_thresholds(base, threshold):
     # nan used to read as success 0.0 and -1.0 as success 1.0
