@@ -344,15 +344,20 @@ class SuccessReport:
     quadrature_error_bound: float
 
 
-def _integrate_mapped(f, a: float, b: float, points) -> tuple[np.ndarray, float]:
+def _integrate_mapped(f, a: float, b: float, points, *,
+                      panels: int = 1) -> tuple[np.ndarray, float]:
     """Integral of the array-valued f over [a, b] and its error bound.
 
     The segment between consecutive sorted ``points`` number i is reached
     from u in [i, i + 1] through x = lo + half * (1 - cos(pi * (u - i))).
     The map clusters nodes at both ends of every segment, where arc lengths
     and lens areas behave like square roots or 3/2 powers; in u they are
-    smooth, so one or two Kronrod passes per segment suffice.  ``f`` takes
-    the x nodes of a whole refinement round and returns values node axis first.
+    smooth.  The first round evaluates ``panels`` equal pieces, in u, of
+    every segment.  The radial integral starts from two, as a first round
+    of one per segment is bisected whole; the speed integral, each of
+    whose nodes is a radial integral, starts from one and mostly converges
+    there.  ``f`` takes the x nodes of a whole refinement round and
+    returns values node axis first.
     """
     edges = np.array(sorted({a, b, *(p for p in points if a < p < b)}), dtype=float)
     n = len(edges) - 1
@@ -365,7 +370,8 @@ def _integrate_mapped(f, a: float, b: float, points) -> tuple[np.ndarray, float]
         jacobian = half * math.pi * np.sin(c)
         return values * jacobian.reshape(-1, *(1,) * (values.ndim - 1))
 
-    return integrate_array_detailed(mapped, 0.0, float(n), SPEC, points=range(1, n))
+    cuts = [i / panels for i in range(1, n * panels)]
+    return integrate_array_detailed(mapped, 0.0, float(n), SPEC, points=cuts)
 
 
 # cap on the direction nodes times thresholds that one batch of the bracket
@@ -495,7 +501,8 @@ class _Exponent:
         points = {ant.r_in, ant.r_out}
         for r in (ant.r_in, ant.r_out):
             points.update((abs(r - vt), r + vt))
-        raw, err = _integrate_mapped(lambda x: self._bracket(x, vt), 0.0, ant.r_out + vt, points)
+        raw, err = _integrate_mapped(
+            lambda x: self._bracket(x, vt), 0.0, ant.r_out + vt, points, panels=2)
         scale = TWO_PI * self.params.lam
         return -scale * raw, scale * err
 

@@ -160,20 +160,24 @@ class QuadratureSpec:
 
 DEFAULT_SPEC = QuadratureSpec()
 
-# 15-point Kronrod abscissae/weights with embedded 7-point Gauss rule.
+# 15-point Kronrod abscissae/weights with embedded 7-point Gauss rule, to 30
+# digits (Piessens et al., QUADPACK, 1983, dqk15; recomputed with mpmath as
+# Laurie, Math. Comp. 66, 1997, describes); Gauss nodes at the odd indices
 _XGK = np.array([
-    0.991455371120813, 0.949107912342759, 0.864864423359769,
-    0.741531185599394, 0.586087235467691, 0.405845151377397,
-    0.207784955007898, 0.0,
+    0.991455371120812639206854697526, 0.949107912342758524526189684048,
+    0.864864423359769072789712788641, 0.741531185599394439863864773281,
+    0.586087235467691130294144838259, 0.405845151377397166906606412077,
+    0.207784955007898467600689403773, 0.0,
 ])
 _WGK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
+    0.0229353220105292249637320080590, 0.0630920926299785532907006631892,
+    0.104790010322250183839876322542, 0.140653259715525918745189590510,
+    0.169004726639267902826583426599, 0.190350578064785409913256402421,
+    0.204432940075298892414161999235, 0.209482141084727828012999174892,
 ])
 _WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
+    0.129484966168869693270611432679, 0.279705391489276667901467771424,
+    0.381830050505118944950369775489, 0.417959183673469387755102040816,
 ])
 
 # full symmetric node set on [-1, 1], Gauss points at odd Kronrod indices

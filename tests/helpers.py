@@ -107,9 +107,9 @@ def count_radial_integrals(monkeypatch) -> list:
     ranges = []
     integrate = analytic._integrate_mapped
 
-    def counting(f, a, b, points):
+    def counting(f, a, b, points, **options):
         ranges.append((a, b))
-        return integrate(f, a, b, points)
+        return integrate(f, a, b, points, **options)
 
     monkeypatch.setattr(analytic, "_integrate_mapped", counting)
     return ranges

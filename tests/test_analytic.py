@@ -551,6 +551,32 @@ def test_fixed_speed_report_is_one_radial_integral(base, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("t, segments, rounds", [(1.0, 4, 1), (5.0, 5, 2)])
+def test_fixed_speed_report_starts_from_both_halves_of_each_segment(base, monkeypatch,
+                                                                    t, segments, rounds):
+    # the radial integral's first round evaluates the u-halves of every
+    # mapped segment; at t=1 it converges there, at t=5 it refines once
+    passes = count_passes(monkeypatch)
+    retransmission_report(base.params, base.speed, t, base.threshold)
+    assert passes[0] == [(i / 2, (i + 1) / 2) for i in range(2 * segments)]
+    assert len(passes) == rounds
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0, 5.0, 20.0])
+@pytest.mark.parametrize("overrides", [{"height": 0.5, "alpha": 6.0}, {"k": 8, "omega": 0.125}],
+                         ids=["low-steep", "k8"])
+def test_two_panel_start_agrees_with_one_panel_start(overrides, t, monkeypatch):
+    sc = baseline_scenario(**overrides)
+    two = retransmission_report(sc.params, sc.speed, t, sc.threshold)
+    integrate = analytic._integrate_mapped
+    monkeypatch.setattr(analytic, "_integrate_mapped",
+                        lambda f, a, b, points, panels: integrate(f, a, b, points))
+    one = retransmission_report(sc.params, sc.speed, t, sc.threshold)
+    for name in ("p_joint", "p_marginal_0", "p_marginal_t"):
+        assert getattr(two, name) == pytest.approx(
+            getattr(one, name), abs=two.quadrature_error_bound), name
+
+
 def test_mapped_integrand_is_called_once_per_pass(monkeypatch):
     passes, sizes = count_passes(monkeypatch), []
 

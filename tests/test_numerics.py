@@ -304,3 +304,17 @@ def test_quadrature_validates_spec():
         QuadratureSpec(abs_tol=0.0, rel_tol=1e-8, max_subdivisions=10)
     with pytest.raises(ValueError):
         QuadratureSpec(abs_tol=1e-10, rel_tol=1e-8, max_subdivisions=0)
+
+
+@pytest.mark.parametrize("rule, degree", [("kronrod", 22), ("gauss", 12)])
+def test_rule_tables_integrate_monomials_exactly(rule, degree):
+    # K15 is exact to degree 22 and G7 to degree 12 on [-1, 1]; the moments
+    # are summed exactly from the float tables, so only their digits count
+    weights = {"kronrod": numerics._KW, "gauss": numerics._GW}[rule]
+    nodes = numerics._NODES.tolist()
+    for j in range(degree + 1):
+        moment = math.fsum(w * x**j for w, x in zip(weights.tolist(), nodes))
+        if j % 2:
+            assert moment == 0.0, j
+        else:
+            assert abs(moment - 2.0 / (j + 1)) <= 4e-16, j
