@@ -7,7 +7,10 @@ entry point goes through it: :func:`validate` of a raw
 the footprint radii from beam angles and converting the threshold from dB),
 :func:`validate` of an already validated scenario, and
 :func:`scenario_from_dict` / :func:`scenario_from_json`.  Speed laws check
-their own parameters when built, so a law that exists is valid.  Downstream
+their own parameters when built, so a law that exists is valid.  A speed
+density is piecewise linear, given by its knots: :class:`UniformSpeed` is
+the two-knot :class:`TabulatedSpeed`, with its own serialized form and
+sampler.  Downstream
 code only ever sees linear quantities and the footprint radii (never
 antenna angles).
 """
@@ -225,7 +228,11 @@ class FixedSpeed(SpeedDistribution):
     kind: str = field(default="fixed", init=False)
 
     def __post_init__(self):
-        _store_speeds(self, "v")
+        problems: list[str] = []
+        speed = _real(problems, "speed.v", self.v, _AT_LEAST_0)
+        if problems:
+            raise ConfigError(problems)
+        object.__setattr__(self, "v", speed)
 
     def cdf(self, v: float) -> float:
         return 1.0 if v >= self.v else 0.0
@@ -255,67 +262,16 @@ class FixedSpeed(SpeedDistribution):
         return {"kind": "fixed", "v": self.v}
 
 
-@dataclass(frozen=True)
-class UniformSpeed(SpeedDistribution):
-    """Speed uniform on [v_min, v_max]."""
-
-    v_min: float
-    v_max: float
-    kind: str = field(default="uniform", init=False)
-
-    def __post_init__(self):
-        _store_speeds(self, "v_min", "v_max")
-        if self.v_max <= self.v_min:
-            raise ConfigError(["speed.v_max must exceed speed.v_min"])
-
-    def cdf(self, v: float) -> float:
-        if v <= self.v_min:
-            return 0.0
-        if v >= self.v_max:
-            return 1.0
-        return (v - self.v_min) / (self.v_max - self.v_min)
-
-    def pdf(self, v: float) -> float:
-        speeds = np.asarray(v)
-        inside = (self.v_min <= speeds) & (speeds <= self.v_max)
-        density = np.where(inside, 1.0 / (self.v_max - self.v_min), 0.0)
-        return density if speeds.ndim else float(density)
-
-    def density_knots(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        density = 1.0 / (self.v_max - self.v_min)
-        return (self.v_min, self.v_max), (density, density)
-
-    @property
-    def support_min(self) -> float:
-        return self.v_min
-
-    @property
-    def support_max(self) -> float:
-        return self.v_max
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.uniform(self.v_min, self.v_max, size)
-
-    def to_dict(self) -> dict:
-        return {"kind": "uniform", "v_min": self.v_min, "v_max": self.v_max}
-
-
-def _store_speeds(law: SpeedDistribution, *names: str) -> None:
-    """Store each named speed of a frozen law as a float; reject the law unless all are valid."""
-    problems: list[str] = []
-    for name in names:
-        speed = _real(problems, f"speed.{name}", getattr(law, name), _AT_LEAST_0)
-        object.__setattr__(law, name, speed)
-    if problems:
-        raise ConfigError(problems)
-
-
 class TabulatedSpeed(SpeedDistribution):
     """Piecewise-linear density given as (speed, density) rows.
 
-    The table is renormalized at load so the trapezoid mass is exactly 1;
-    the cdf is the exact integral of the interpolated density, and sampling
-    inverts it segment by segment.
+    The densities are renormalized at load so the trapezoid mass is exactly
+    1.  The table is kept as given and is what :meth:`to_dict` writes, so a
+    law rebuilt from that form repeats the one renormalization and has the
+    same knots bit for bit.  The cdf is the exact integral of the
+    interpolated density, and sampling inverts it segment by segment.  Two
+    laws are equal, and hash equal, when they have the same class and the
+    same knots.
     """
 
     kind = "tabulated"
@@ -330,6 +286,8 @@ class TabulatedSpeed(SpeedDistribution):
         speeds = rows[:, 0]
         dens = rows[:, 1]
         problems = []
+        if not np.all(np.isfinite(rows)):
+            problems.append("speed.table entries must be finite")
         if np.any(np.diff(speeds) <= 0):
             problems.append("speed.table speeds must be strictly increasing")
         if np.any(speeds < 0):
@@ -343,7 +301,15 @@ class TabulatedSpeed(SpeedDistribution):
             raise ConfigError(["speed.table must carry positive probability mass"])
         if abs(mass - 1.0) > 1e-8:
             log.warning("speed table mass %.6g renormalized to 1", mass)
-        dens = dens / mass
+        self._table = rows
+        self._set_knots(speeds, dens / mass)
+
+    def _set_knots(self, speeds: np.ndarray, dens: np.ndarray) -> None:
+        """Store the knots of a density of mass 1 and its cumulative masses.
+
+        The scalar paths read the knots as floats, the vectorised ones as arrays.
+        """
+        self._knots = tuple(speeds.tolist()), tuple(dens.tolist())
         self._speeds = speeds
         self._dens = dens
         # cumulative trapezoid, exact for the piecewise-linear density
@@ -367,15 +333,15 @@ class TabulatedSpeed(SpeedDistribution):
         return density if np.ndim(v) else float(density)
 
     def density_knots(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        return tuple(self._speeds.tolist()), tuple(self._dens.tolist())
+        return self._knots
 
     @property
     def support_min(self) -> float:
-        return float(self._speeds[0])
+        return self._knots[0][0]
 
     @property
     def support_max(self) -> float:
-        return float(self._speeds[-1])
+        return self._knots[0][-1]
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.random(size)
@@ -391,17 +357,46 @@ class TabulatedSpeed(SpeedDistribution):
         return self._speeds[i] + np.clip(x, 0.0, width)
 
     def to_dict(self) -> dict:
-        return {"kind": "tabulated", "table": [[float(v), float(f)] for v, f in zip(self._speeds, self._dens)]}
+        return {"kind": "tabulated", "table": self._table.tolist()}
 
     def __eq__(self, other):
-        return (
-            isinstance(other, TabulatedSpeed)
-            and np.array_equal(self._speeds, other._speeds)
-            and np.array_equal(self._dens, other._dens)
-        )
+        return type(other) is type(self) and self._knots == other._knots
+
+    def __hash__(self):
+        return hash((type(self), self._knots))
 
     def __repr__(self):
-        return f"TabulatedSpeed({len(self._speeds)} rows on [{self.support_min}, {self.support_max}])"
+        return f"{type(self).__name__}({len(self._speeds)} rows on [{self.support_min}, {self.support_max}])"
+
+
+class UniformSpeed(TabulatedSpeed):
+    """Speed uniform on [v_min, v_max]: the two-knot table of density 1/(v_max - v_min).
+
+    It keeps its own serialized form and samples with ``rng.uniform``,
+    about ten times cheaper than inverting the table's cdf.
+    """
+
+    kind = "uniform"
+
+    def __init__(self, v_min: float, v_max: float):
+        problems: list[str] = []
+        lo = _real(problems, "speed.v_min", v_min, _AT_LEAST_0)
+        hi = _real(problems, "speed.v_max", v_max, _AT_LEAST_0)
+        if problems:
+            raise ConfigError(problems)
+        if hi <= lo:
+            raise ConfigError(["speed.v_max must exceed speed.v_min"])
+        density = 1.0 / (hi - lo)
+        self._set_knots(np.array([lo, hi]), np.array([density, density]))
+
+    v_min = TabulatedSpeed.support_min
+    v_max = TabulatedSpeed.support_max
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return rng.uniform(self.v_min, self.v_max, size)
+
+    def to_dict(self) -> dict:
+        return {"kind": "uniform", "v_min": self.v_min, "v_max": self.v_max}
 
 
 def speed_from_dict(d: dict) -> SpeedDistribution:

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from uavtc.model import (
@@ -216,6 +216,42 @@ def test_round_trip_tabulated_speed():
     assert clone.speed == scenario.speed
 
 
+_FIVE_KNOTS = [[2, 0], [8, 0.1], [15, 0.06], [25, 0.03], [40, 0]]  # the CI table
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(2, 7))
+    steps = draw(st.lists(st.floats(0.001, 15.0), min_size=n, max_size=n))
+    densities = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+                     .filter(lambda d: max(d) > 0.0))
+    return [[v, f] for v, f in zip(np.cumsum(steps).tolist(), densities)]
+
+
+@given(tables())
+@example(_FIVE_KNOTS)
+def test_round_trip_of_random_tables_is_bit_exact(table):
+    law = TabulatedSpeed(table)
+    clone = TabulatedSpeed(law.to_dict()["table"])
+    assert clone == law and clone.density_knots() == law.density_knots()
+    scenario = baseline_scenario(speed={"kind": "tabulated", "table": table})
+    assert scenario_from_json(scenario_to_json(scenario)) == scenario
+
+
+def test_speed_laws_hash_like_they_compare():
+    pairs = [
+        (FixedSpeed(10), FixedSpeed(10.0)),
+        (UniformSpeed(5, 15), UniformSpeed(5.0, 15.0)),
+        (TabulatedSpeed(_FIVE_KNOTS), TabulatedSpeed([[v, 2.0 * f] for v, f in _FIVE_KNOTS])),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+        scenario = baseline_scenario(speed=a.to_dict())
+        assert hash(scenario) == hash(replace(scenario, speed=b))
+    # the same knots under another class are another law
+    assert UniformSpeed(5.0, 15.0) != TabulatedSpeed([[5.0, 0.1], [15.0, 0.1]])
+
+
 def test_serialized_form_rejects_unknown_keys():
     payload = json.loads(scenario_to_json(baseline_scenario()))
     payload["bogus"] = 1
@@ -237,8 +273,10 @@ def test_fixed_speed_atom():
         s.pdf(10.0)
 
 
-def test_uniform_speed_density():
-    s = UniformSpeed(5.0, 15.0)
+def test_uniform_speed_density(caplog):
+    with caplog.at_level("WARNING"):
+        s = UniformSpeed(5.0, 15.0)
+    assert "renormalized" not in caplog.text  # its knots are built at mass 1
     assert s.atom is None
     assert s.pdf(10.0) == pytest.approx(0.1)
     assert s.pdf(4.0) == 0.0 and s.pdf(16.0) == 0.0
@@ -302,6 +340,15 @@ def test_tabulated_speed_requires_increasing_grid():
     for table in ([[0.0, "x"], [1.0, 1.0]], "abc", [[0.0, 1.0], [1.0]]):
         with pytest.raises(ConfigError, match="speed.table must be a list"):
             TabulatedSpeed(table)
+
+
+def test_tabulated_speed_requires_finite_entries():
+    for table in ([[0.0, math.nan], [1.0, 1.0]], [[0.0, 1.0], [math.inf, 1.0]],
+                  [[0.0, math.inf], [1.0, 1.0]], [[math.nan, 1.0], [1.0, 1.0]]):
+        with pytest.raises(ConfigError, match="speed.table entries must be finite"):
+            TabulatedSpeed(table)
+        with pytest.raises(ConfigError, match="speed.table entries must be finite"):
+            speed_from_dict({"kind": "tabulated", "table": table})
 
 
 def test_tabulated_speed_cdf_is_exact_piecewise_quadratic():

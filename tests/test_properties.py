@@ -2,15 +2,18 @@
 
 import math
 import sys
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavtc.analytic import (
-    footprint_egress_integral, footprint_ingress_integral, joint_success, marginal_success,
-    success_report, success_reports)
-from uavtc.model import TabulatedSpeed, UniformSpeed
+    conditional_interferer_pmf, footprint_egress_integral, footprint_ingress_integral,
+    joint_success, marginal_success, success_report, success_reports,
+    unconditional_interferer_pmf)
+from uavtc.model import FixedSpeed, TabulatedSpeed, UniformSpeed
 
 from helpers import assert_reports_match, baseline_scenario, stay_probability_oracle
 
@@ -58,6 +61,24 @@ def test_stay_probability_properties(law, fraction, stretch):
     # flow balance: the arrivals replace the departures of a full footprint
     flow = PARAMS.lam * PARAMS.p_mobile * math.pi * R * R * (1.0 - stay)
     assert footprint_egress_integral(PARAMS, law, t) == pytest.approx(flow, rel=1e-12, abs=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(law=st.one_of(st.builds(FixedSpeed, st.floats(0.0, 40.0)), uniform_laws(), tabulated_laws()),
+       lam=st.floats(1e-4, 0.02), p_mobile=st.floats(0.0, 1.0), span=st.floats(0.0, 3.0))
+def test_count_pmfs_mix_to_the_stationary_count(law, lam, p_mobile, span):
+    # gaps from 0 to three times 2r/v_max, past which no mobile node stays
+    t = span * 2.0 * R / max(law.support_max, 1.0)
+    params = replace(PARAMS, lam=lam, p_mobile=p_mobile)
+    stationary = unconditional_interferer_pmf(params)
+    # stationarity: a Poisson count at time 0 moved for t is the same Poisson count
+    weights = unconditional_interferer_pmf(params, n_max=2 * stationary.n_max).probs
+    mixture = np.zeros(stationary.n_max + 1)
+    for m, weight in enumerate(weights):
+        pmf = conditional_interferer_pmf(m, params, law, t)
+        assert pmf.probs.sum() + pmf.tail_mass == pytest.approx(1.0, abs=1e-12)
+        mixture += weight * conditional_interferer_pmf(m, params, law, t, stationary.n_max).probs
+    assert np.max(np.abs(mixture - stationary.probs)) <= 1e-13
 
 
 @st.composite
