@@ -41,8 +41,9 @@ instants):
   that coefficient array is :func:`uavtc.numerics.jet_exp`.
 
 Every quantity is linear in the speed law.  Every speed density is
-piecewise linear and L has elementary integrals against 1 and against v, so
-the stay probability is an exact sum over the density's pieces.  A SINR
+piecewise linear, and in theta = acos(v t / 2r) each of its pieces times L
+is entire, so the stay probability is a sum over the density's pieces of a
+fixed 15-node rule in theta, exact to rounding.  A SINR
 quantity is computed for one fixed speed as one radial integral whose
 direction average is a fixed-node rule, and a speed density adds one
 outermost integral over v, split at the density's breakpoints and at the
@@ -60,7 +61,7 @@ import numpy as np
 
 from .model import (
     NetworkParams, SpeedDistribution, check_count, check_gap, check_n_max, check_threshold)
-from .numerics import QuadratureSpec, integrate_array_detailed, jet_exp
+from .numerics import _KW, _NODES, QuadratureSpec, integrate_array_detailed, jet_exp
 
 # Bound here only because perfbench/spans.py patches them by these names;
 # ROADMAP direction 1 moves that instrumentation into the library.
@@ -126,76 +127,34 @@ def _lens_fraction(d, r: float):
     return (2.0 / math.pi) * (np.arccos(u) - u * np.sqrt(1.0 - u * u))
 
 
-# c_n for n = 11 down to 1 in int_0^u w L(w) dw = u^2/2 - (4/pi)(u^3/3 + sum_n c_n u^(2n+3)),
-# from L' = -(4/pi) sqrt(1 - u^2) and sqrt(1 - w) = 1 - sum_n C(2n, n) w^n / ((2n-1) 4^n)
-_LENS_TAIL = tuple(-math.comb(2 * n, n) / ((2 * n - 1) * 4**n * (2 * n + 1) * (2 * n + 3))
-                   for n in range(11, 0, -1))
-_SERIES_BELOW = 0.25  # where the series replaces the closed first moment
+# the Kronrod nodes as shares of the way from acos a to acos b, and their weights
+_LENS_RULE = tuple(zip((0.5 * (1.0 + _NODES)).tolist(), _KW.tolist()))
 
 
-def _lens_tail(u: float) -> float:
-    """sum_n c_n u^(2n+3) over the ``_LENS_TAIL`` coefficients, for u <= 1/4."""
-    w = u * u
-    acc = 0.0
-    for c in _LENS_TAIL:
-        acc = acc * w + c
-    return acc * w * u * u * u
+def _lens_integrals(a: float, du: float) -> tuple[float, float]:
+    """Integrals of L(u) and of s L(u) over [a, a + du] within [0, 1], s = (u - a) / du.
 
-
-def _lens_moments(a: float, du: float) -> tuple[float, float]:
-    """Integrals of L(u) and of u L(u) over [a, a + du] within [0, 1]; L(u) = _lens_fraction(2ru, r).
-
-    With s = sqrt(1 - u^2) their primitives are (2/pi)(u acos u - s + s^3/3)
-    and (2/pi)(u^2 acos u / 2 + (asin u - u s)/8 - u^3 s / 4).  Each is
-    differenced term by term from differences of u, s and acos u that carry
-    the factor du, so a narrow piece far from u = 0 keeps its digits.
-    Below u = 1/4 the terms of the second primitive cancel to O(u^3), so
-    there it is u^2/2 minus a power series.
+    L(u) = _lens_fraction(2ru, r).  In theta = acos u, L = (2 theta -
+    sin 2 theta) / pi and du = -sin theta d theta, so both integrands are
+    entire in theta and the 15-node Kronrod rule of ``numerics`` gets any
+    piece to rounding.  The theta-width is the angle whose sine,
+    b sa - a sb with sa = sqrt(1 - a^2), is carried from du, and u - a at a
+    node is a product of sines, so a narrow piece keeps its digits.
     """
-    if a < _SERIES_BELOW < a + du:
-        below = _SERIES_BELOW - a
-        low, high = _lens_moments(a, below), _lens_moments(_SERIES_BELOW, du - below)
-        return low[0] + high[0], low[1] + high[1]
     b = min(a + du, 1.0)
     sa = math.sqrt((1.0 - a) * (1.0 + a))
     sb = math.sqrt((1.0 - b) * (1.0 + b))
-    ds = -du * (a + b) / (sa + sb)
-    dacos = -math.asin(du * sa - a * ds)  # asin(b sa - a sb) = asin b - asin a
-    acos_b = math.acos(b)
-    zeroth = du * acos_b + a * dacos - ds * (1.0 - (sa * sa + sa * sb + sb * sb) / 3.0)
-    cubes = du * (a * a + a * b + b * b)
-    if b <= _SERIES_BELOW:
-        first = 0.5 * du * (a + b) - (4.0 / math.pi) * (cubes / 3.0 + _lens_tail(b) - _lens_tail(a))
-        return (2.0 / math.pi) * zeroth, first
-    first = (0.5 * (du * (a + b) * acos_b + a * a * dacos) - (dacos + du * sb + a * ds) / 8.0
-             - (cubes * sb + a * a * a * ds) / 4.0)
-    return (2.0 / math.pi) * zeroth, (2.0 / math.pi) * first
-
-
-_NARROW = 0.125  # the left moment of a piece narrower than this share of 1 - a uses its series
-_NARROW_TERMS = 16
-
-
-def _left_moment(a: float, du: float, zeroth: float, first: float) -> float:
-    """int_a^{a+du} (u - a) L(u) du, from the two moments of ``_lens_moments``.
-
-    ``first - a * zeroth`` cancels to about du^2 L / 2 on a narrow piece, so
-    there it is L(a) du^2 / 2 - (4/pi) sum_k c_k du^(k+3) / ((k+1)(k+3)),
-    from L' = -(4/pi) sqrt(1 - u^2), with c_k the Taylor coefficients of
-    g = sqrt(1 - u^2) at a.  They follow from (1 - u^2) g' = -u g and grow
-    like (1 - a)^-k, so the terms shrink at least like 8^-k.
-    """
-    if du >= _NARROW * (1.0 - a):
-        return first - a * zeroth
-    one_minus_a2 = (1.0 - a) * (1.0 + a)
-    prev, coef = 0.0, math.sqrt(one_minus_a2)
-    lens = (2.0 / math.pi) * (math.acos(a) - a * coef)
-    power, acc = du * du * du, 0.0
-    for k in range(_NARROW_TERMS):
-        acc += coef * power / ((k + 1) * (k + 3))
-        prev, coef = coef, ((2 * k - 1) * a * coef + (k - 2) * prev) / (one_minus_a2 * (k + 1))
-        power *= du
-    return 0.5 * lens * du * du - (4.0 / math.pi) * acc
+    ds = -du * (a + b) / (sa + sb)  # sb - sa
+    half = 0.5 * math.atan2(du * sa - a * ds, a * b + sa * sb)  # half of acos a - acos b
+    theta_a = math.acos(a)
+    zeroth = first = 0.0
+    for share, weight in _LENS_RULE:
+        back = half * share  # (acos a - theta) / 2
+        theta = theta_a - 2.0 * back
+        lens = weight * (2.0 * theta - math.sin(2.0 * theta)) * math.sin(theta)
+        zeroth += lens
+        first += lens * math.sin(theta_a - back) * math.sin(back)  # times (u - a) / 2
+    return half / math.pi * zeroth, 2.0 * half / math.pi * first / du
 
 
 def _arrival_mean(params: NetworkParams, stay: float) -> float:
@@ -208,10 +167,11 @@ def footprint_ingress_integral(params: NetworkParams, speed: SpeedDistribution, 
     """Probability that a node uniform in the footprint is still inside after t.
 
     Equals E_V[L(V t)] for the lens overlap fraction L of the footprint.  In
-    u = v t / 2r a piece of the speed density is f_a + slope * (u - a), so
-    E_V[L(V t)] is the sum over pieces of (2r/t) times f_a int L du plus
-    slope times int (u - a) L du, each over the piece clipped at u = 1,
-    beyond which L = 0.
+    u = v t / 2r a piece of the speed density, clipped at u = 1 where L
+    reaches 0, runs from f_a to f_b, so E_V[L(V t)] is the sum over pieces
+    of (2r/t) times f_a int L du plus (f_b - f_a) int s L du, with s the
+    position in the piece from 0 to 1.  Each pair of integrals is summed by
+    a fixed 15-node rule that is exact to rounding in theta = acos u.
     """
     check_gap(t)
     r_out = params.antenna.r_out
@@ -228,13 +188,14 @@ def footprint_ingress_integral(params: NetworkParams, speed: SpeedDistribution, 
         a = va / scale
         if a >= 1.0:
             break
-        if fa == fb == 0.0:
-            continue
         width = (vb - va) / scale  # not b - a, which would carry the rounding of a and b
         du = min(width, 1.0 - a)
-        zeroth, first = _lens_moments(a, du)
-        slope = 0.0 if fa == fb else (fb - fa) / width * _left_moment(a, du, zeroth, first)
-        total += fa * zeroth + slope
+        if du == 0.0 or fa == fb == 0.0:
+            continue  # an underflowed width holds mass only under a density near the float limit
+        if du < width:
+            fb = fa + (fb - fa) * (du / width)  # the density where u = 1 clips the piece
+        lens, left = _lens_integrals(a, du)
+        total += fa * lens + (fb - fa) * left
     return min(max(scale * total, 0.0), 1.0)
 
 

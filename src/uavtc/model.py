@@ -302,13 +302,17 @@ class TabulatedSpeed(SpeedDistribution):
         if abs(mass - 1.0) > 1e-8:
             log.warning("speed table mass %.6g renormalized to 1", mass)
         self._table = rows
-        self._set_knots(speeds, dens / mass)
+        with np.errstate(over="ignore"):  # _set_knots rejects an infinite density
+            self._set_knots(speeds, dens / mass)
 
     def _set_knots(self, speeds: np.ndarray, dens: np.ndarray) -> None:
         """Store the knots of a density of mass 1 and its cumulative masses.
 
         The scalar paths read the knots as floats, the vectorised ones as arrays.
+        A subnormal width or table mass makes a density infinite.
         """
+        if not np.all(np.isfinite(dens)):
+            raise ConfigError(["speed density must be finite (subnormal speed range or mass)"])
         self._knots = tuple(speeds.tolist()), tuple(dens.tolist())
         self._speeds = speeds
         self._dens = dens

@@ -208,11 +208,54 @@ def test_stay_probability_matches_fixed_node_oracle(base, name, t):
 ])
 def test_stay_probability_on_a_narrow_sloped_piece(base, table, t):
     # on these pieces the left moment first - a * zeroth cancels to errors
-    # of 2.3e-11 and 1.0e-9; the narrow-piece series keeps them under 1e-13
+    # of 2.3e-11 and 1.0e-9; a rule in acos u over the piece itself keeps
+    # them under 1e-13
     speed = TabulatedSpeed(table)
     r = base.params.antenna.r_out
     stay = footprint_ingress_integral(base.params, speed, t)
     assert stay == pytest.approx(helpers.stay_probability_oracle(speed, r, t), abs=1e-13)
+
+
+# E_V[L(V t)] to 40 digits, from scripts/stay_reference.py (mpmath quadrature
+# over the law's own knots, r = 25)
+_STAY_REFERENCE = [
+    (UniformSpeed(5.0, 15.0), 1.0, "0.7474939509099344620972409686887050949185"),
+    (UniformSpeed(5.0, 15.0), 5.0, "0.08016333823301070825012073225652351751181"),
+    (UniformSpeed(0.0, 40.0), 1e-6, "0.9999994907041821614732339894510330907613"),
+    (TabulatedSpeed([[100.0, 0.0], [100.001, 1.0]]), 0.1,
+     "0.7470584147517458721987441813599835158039"),
+    (TabulatedSpeed([[40.0, 0.0], [40.001, 1.0]]), 1e-9,
+     "0.9999999989813913876846012602059708961021"),
+    # a piece across u = 1/4
+    (TabulatedSpeed([[10.0, 1.0], [10.002, 0.0], [30.0, 0.5]]), 0.8,
+     "0.5373806985053818765926345799644535075876"),
+    # a piece from u near 0 clipped at u = 1, whose width in acos u an asin would lose
+    (TabulatedSpeed([[0.0, 0.28763462856463984], [0.0028413754782673478, 0.0],
+                     [9.38269803636661, 0.15382832542525438]]), 6.867234857197809,
+     "0.1509156218698489918053621001829095753886"),
+    # steep narrow pieces that closed-form moments got 2.5e-14 off
+    (TabulatedSpeed([[106.39812722617701, 0.0], [106.78438440687569, 0.6681452373581896],
+                     [106.7887357997123, 0.0], [106.7959749714415, 0.0]]), 0.46279027120528743,
+     "0.001738436458625873990737505682683583472293"),
+]
+
+
+@pytest.mark.parametrize("speed, t, reference", _STAY_REFERENCE)
+def test_stay_probability_matches_40_digit_reference(base, speed, t, reference):
+    stay = footprint_ingress_integral(base.params, speed, t)
+    assert abs(stay - float(reference)) <= 1e-15
+
+
+@pytest.mark.parametrize("t", [1e-16, 1e-12, 1.0])
+def test_stay_probability_with_a_vanishing_knot_gap(base, t):
+    # the first piece's width in u underflows to 0 at t = 1e-16 and is
+    # subnormal at 1e-12, where dividing by it raised or gave NaN
+    speed = TabulatedSpeed([[0.0, 0.0], [1e-306, 1.0], [1.0, 1.0]])
+    r = base.params.antenna.r_out
+    stay = footprint_ingress_integral(base.params, speed, t)
+    assert stay == pytest.approx(helpers.stay_probability_oracle(speed, r, t), abs=1e-13)
+    pmf = conditional_interferer_pmf(5, base.params, speed, t)
+    assert np.all(np.isfinite(pmf.probs)) and math.isfinite(pmf.tail_mass)
 
 
 def test_stay_probability_at_vanishing_gaps(base):

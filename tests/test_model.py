@@ -351,6 +351,16 @@ def test_tabulated_speed_requires_finite_entries():
             speed_from_dict({"kind": "tabulated", "table": table})
 
 
+def test_speed_laws_reject_infinite_densities():
+    # a subnormal width or table mass used to build a law of density inf, and
+    # the SINR path then failed at 1e300 with "integrand is not finite"
+    for build in (lambda: UniformSpeed(0.0, 5e-324),
+                  lambda: TabulatedSpeed([[0.0, 1.0], [1e-310, 1.0]]),
+                  lambda: speed_from_dict({"kind": "uniform", "v_min": 0.0, "v_max": 5e-324})):
+        with pytest.raises(ConfigError, match="speed density must be finite"):
+            build()
+
+
 def test_tabulated_speed_cdf_is_exact_piecewise_quadratic():
     # mass on [0,2] = 0.25 (triangle), on [2,4] = 0.5 -> renormalized by 0.75
     s = TabulatedSpeed([[0.0, 0.0], [2.0, 0.25], [4.0, 0.25]])
