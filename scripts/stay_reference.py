@@ -39,6 +39,9 @@ CASES = [
     ("steep table",
      TabulatedSpeed([[106.39812722617701, 0.0], [106.78438440687569, 0.6681452373581896],
                      [106.7887357997123, 0.0], [106.7959749714415, 0.0]]), 0.46279027120528743),
+    *(("spike narrower than 2**-60 in u",
+       TabulatedSpeed([[0.0, 0.0], [1e-307, 1e307], [2e-307, 0.0], [1.0, 0.0]]), t)
+      for t in (5e-17, 5e-15, 1e-12, 1e-5)),
 ]
 
 

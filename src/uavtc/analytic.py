@@ -45,14 +45,14 @@ piecewise linear, and in theta = acos(v t / 2r) each of its pieces times L
 is entire, so the stay probability is a sum over the density's pieces of a
 fixed 15-node rule in theta, exact to rounding.  A SINR
 quantity is computed for one fixed speed as one radial integral whose
-direction average is a fixed-node rule, and a speed density adds one
+direction average applies the ``numerics`` 15-node Kronrod rule on each
+panel between gain crossings, and a speed density adds one
 outermost integral over v, split at the density's breakpoints and at the
 speeds where a footprint circle and its displaced copy become tangent.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -75,16 +75,6 @@ TWO_PI = 2.0 * math.pi
 _TAIL_EPS = 1e-9
 
 SPEC = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10, max_subdivisions=1000)
-
-
-@functools.cache
-def _direction_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule for the direction average on one arc.
-
-    It is applied to each arc between gain crossings, where the integrand is
-    analytic.  Built on first use, because numpy.polynomial is slow to import.
-    """
-    return np.polynomial.legendre.leggauss(16)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +161,8 @@ def footprint_ingress_integral(params: NetworkParams, speed: SpeedDistribution, 
     reaches 0, runs from f_a to f_b, so E_V[L(V t)] is the sum over pieces
     of (2r/t) times f_a int L du plus (f_b - f_a) int s L du, with s the
     position in the piece from 0 to 1.  Each pair of integrals is summed by
-    a fixed 15-node rule that is exact to rounding in theta = acos u.
+    a fixed 15-node rule, exact to rounding in theta = acos u; a piece
+    under 2**-60 wide in u adds its mass times L at its left end.
     """
     check_gap(t)
     r_out = params.antenna.r_out
@@ -183,20 +174,23 @@ def footprint_ingress_integral(params: NetworkParams, speed: SpeedDistribution, 
     if speed.support_max < scale * 2.0**-60:
         return 1.0  # 1 - L(v t) < 2**-59 rounds away for every speed
     speeds, densities = speed.density_knots()
-    total = 0.0
+    total = narrow = 0.0
     for va, vb, fa, fb in zip(speeds, speeds[1:], densities, densities[1:]):
         a = va / scale
         if a >= 1.0:
             break
         width = (vb - va) / scale  # not b - a, which would carry the rounding of a and b
+        if fa == fb == 0.0:
+            continue
+        if width < 2.0**-60:  # L moves by under 2**-59 across it: take its mass in v, not in u
+            narrow += (0.5 * fa + 0.5 * fb) * (vb - va) * float(_lens_fraction(va * t, r_out))
+            continue
         du = min(width, 1.0 - a)
-        if du == 0.0 or fa == fb == 0.0:
-            continue  # an underflowed width holds mass only under a density near the float limit
         if du < width:
             fb = fa + (fb - fa) * (du / width)  # the density where u = 1 clips the piece
         lens, left = _lens_integrals(a, du)
         total += fa * lens + (fb - fa) * left
-    return min(max(scale * total, 0.0), 1.0)
+    return min(max(scale * total + narrow, 0.0), 1.0)
 
 
 def footprint_egress_integral(params: NetworkParams, speed: SpeedDistribution, t: float) -> float:
@@ -360,12 +354,12 @@ class _Exponent:
         self.h2 = params.height * params.height
         self.half_alpha = params.alpha / 2.0
         self.radii_sq = np.array([params.antenna.r_in, params.antenna.r_out]) ** 2
-        nodes, rule = _direction_rule()
-        # the direction rule on a panel of half-width h: angles start + h *
-        # offsets, and weights h * rule, which include the mobile share p and
-        # the 1 / pi of the average over [0, pi]
-        self.offsets = 1.0 + nodes
-        self.rule = (params.p_mobile / math.pi) * rule
+        # the direction average applies the numerics 15-node Kronrod rule on
+        # each panel between gain crossings; on a panel of half-width h:
+        # angles start + h * offsets, and weights h * rule, which include the
+        # mobile share p and the 1 / pi of the average over [0, pi]
+        self.offsets = 1.0 + _NODES
+        self.rule = (params.p_mobile / math.pi) * _KW
 
     def attenuation(self, d2: np.ndarray) -> np.ndarray:
         """Gain times path loss relative to the serving link's, at squared distances d2."""

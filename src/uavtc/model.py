@@ -429,10 +429,6 @@ class FadingParams:
     k: int  # gamma shape, integer
     omega: float  # gamma scale
 
-    @property
-    def mean(self) -> float:
-        return self.k * self.omega
-
 
 @dataclass(frozen=True)
 class AntennaPattern:
@@ -455,11 +451,6 @@ class AntennaPattern:
             np.where(d2 <= self.r_out * self.r_out, self.g_side, 0.0),
         )
         return float(out) if out.ndim == 0 else out
-
-    def gain_at(self, ground_distance):
-        """Antenna gain seen at a given ground distance from the serving node."""
-        d = np.asarray(ground_distance, dtype=float)
-        return self.gain_at_sq(d * d)
 
 
 @dataclass(frozen=True)

@@ -161,25 +161,19 @@ def sample_conditioned(
 # ---------------------------------------------------------------------------
 
 
-def interference(
-    realization: NetworkRealization,
-    params: NetworkParams,
-    at_time: str,
-    fading_rng: np.random.Generator | None = None,
-    fading: np.ndarray | None = None,
-) -> float:
-    """Aggregate interference power at the origin at the chosen instant.
+def interference(realization: NetworkRealization, params: NetworkParams, at_time: str,
+                 fading: np.ndarray) -> float:
+    """Aggregate interference power at the origin at the chosen instant of one replication.
 
-    Fresh gamma fading is drawn unless an explicit ``fading`` vector is
-    supplied (the deterministic test hook).
+    ``fading`` holds one gamma fading value per node.  A block of more than
+    one replication raises ``ValueError``.
     """
+    replications = 0 if realization.owner is None else np.unique(realization.owner).size
+    if replications > 1:
+        raise ValueError(f"interference takes a single replication, got a block of {replications}")
     d = realization.distances(at_time)
     d2 = d * d
     gains = params.antenna.gain_at_sq(d2)
-    if fading is None:
-        if fading_rng is None:
-            raise ValueError("either fading_rng or fading must be supplied")
-        fading = fading_rng.gamma(params.fading.k, params.fading.omega, realization.n)
     # summing only active terms keeps the total bit-identical whatever
     # zero-gain nodes the realization also holds
     active = gains > 0.0
@@ -187,21 +181,11 @@ def interference(
     return float(np.sum(np.asarray(fading)[active] * gains[active] * path))
 
 
-def sinr(
-    realization: NetworkRealization,
-    params: NetworkParams,
-    at_time: str,
-    fading_rng: np.random.Generator | None = None,
-    serving_fading: float | None = None,
-    interferer_fading: np.ndarray | None = None,
-) -> float:
-    """SINR of the serving link; +inf when noise and interference both vanish."""
-    if serving_fading is None:
-        if fading_rng is None:
-            raise ValueError("either fading_rng or serving_fading must be supplied")
-        serving_fading = float(fading_rng.gamma(params.fading.k, params.fading.omega))
+def sinr(realization: NetworkRealization, params: NetworkParams, at_time: str,
+         serving_fading: float, interferer_fading: np.ndarray) -> float:
+    """SINR of the serving link of one replication; +inf when noise and interference both vanish."""
     power = params.antenna.g_main * serving_fading * params.height ** (-params.alpha)
-    denom = interference(realization, params, at_time, fading_rng, interferer_fading) + params.noise
+    denom = interference(realization, params, at_time, interferer_fading) + params.noise
     if denom == 0.0:
         return math.inf
     return power / denom
@@ -328,20 +312,14 @@ def _accumulate(kernel: Callable, args: tuple, reps: int, seed: int, purpose: in
 
 def _joint_kernel(rng, size: int, scenario: ValidatedScenario,
                   thresholds: np.ndarray) -> np.ndarray:
-    """Five success counts per threshold, threshold by threshold, from one block."""
+    """Joint, time-0 and time-t success counts per threshold, one threshold after another."""
     p = scenario.params
     block = sample_network(p, scenario.speed, scenario.t_gap, rng, size=size)
     i0 = _block_interference(block, p, "0", rng, size)
     it = _block_interference(block, p, "t", rng, size)
     s0 = _block_success(scenario, i0, rng, thresholds)
     st = _block_success(scenario, it, rng, thresholds)
-    counts = np.empty((len(thresholds), 5), dtype=np.int64)
-    counts[:, 0] = (s0 & st).sum(axis=1)
-    counts[:, 1] = s0.sum(axis=1)
-    counts[:, 2] = st.sum(axis=1)
-    counts[:, 3] = counts[:, 2] - counts[:, 0]  # success at t after a failure at 0
-    counts[:, 4] = size - counts[:, 1]  # failure at 0
-    return counts.ravel()
+    return np.stack([(s0 & st).sum(axis=1), s0.sum(axis=1), st.sum(axis=1)], axis=1).ravel()
 
 
 def _inside_at_t(m: int, scenario: ValidatedScenario, rng, size: int):
@@ -406,14 +384,16 @@ def _estimate_joint_grid(scenario: ValidatedScenario, thresholds: Sequence[float
     for threshold in grid.tolist():
         check_threshold(threshold)
     seed, reps = scenario.seed, scenario.replications
-    acc = _accumulate(_joint_kernel, (scenario, grid), reps, seed, _JOINT, workers, 5 * len(grid))
+    acc = _accumulate(_joint_kernel, (scenario, grid), reps, seed, _JOINT, workers, 3 * len(grid))
     estimates = []
-    for joint_c, s0_c, st_c, retx_c, fail_c in acc.reshape(-1, 5).tolist():
+    for joint_c, s0_c, st_c in acc.reshape(-1, 3).tolist():
+        # of the reps - s0_c failures at 0, st_c - joint_c succeed at t
         estimates.append(JointSuccessEstimate(
             joint=_bernoulli_result(joint_c, reps, seed),
             marginal_0=_bernoulli_result(s0_c, reps, seed),
             marginal_t=_bernoulli_result(st_c, reps, seed),
-            retx_given_fail=_bernoulli_result(retx_c, fail_c, seed) if fail_c > 0 else None,
+            retx_given_fail=(_bernoulli_result(st_c - joint_c, reps - s0_c, seed)
+                             if s0_c < reps else None),
         ))
     return estimates
 

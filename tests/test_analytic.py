@@ -237,6 +237,9 @@ _STAY_REFERENCE = [
     (TabulatedSpeed([[106.39812722617701, 0.0], [106.78438440687569, 0.6681452373581896],
                      [106.7887357997123, 0.0], [106.7959749714415, 0.0]]), 0.46279027120528743,
      "0.001738436458625873990737505682683583472293"),
+    # a spike whose width in u underflows or keeps few digits, under a density near the float limit
+    *((TabulatedSpeed([[0.0, 0.0], [1e-307, 1e307], [2e-307, 0.0], [1.0, 0.0]]), t,
+       "1.000000000000000020097704443424897951706") for t in (5e-17, 5e-15, 1e-12, 1e-5)),
 ]
 
 

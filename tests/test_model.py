@@ -410,18 +410,18 @@ def test_speed_from_dict_rejects_bad_kinds():
 
 def test_gain_boundaries_are_right_continuous():
     ant = AntennaPattern(2.0, 0.5, 15.0, 25.0)
-    assert ant.gain_at(15.0) == 2.0
-    assert ant.gain_at(15.0 + 1e-9) == 0.5
-    assert ant.gain_at(25.0) == 0.5
-    assert ant.gain_at(25.0 + 1e-9) == 0.0
-    assert ant.gain_at(np.array([0.0, 20.0, 30.0])).tolist() == [2.0, 0.5, 0.0]
+    assert ant.gain_at_sq(15.0**2) == 2.0
+    assert ant.gain_at_sq((15.0 + 1e-9) ** 2) == 0.5
+    assert ant.gain_at_sq(25.0**2) == 0.5
+    assert ant.gain_at_sq((25.0 + 1e-9) ** 2) == 0.0
+    assert ant.gain_at_sq(np.array([0.0, 20.0, 30.0]) ** 2).tolist() == [2.0, 0.5, 0.0]
 
 
 @given(st.floats(0.0, 60.0), st.floats(0.0, 60.0))
 def test_gain_monotone_non_increasing(d1, d2):
     ant = AntennaPattern(2.0, 0.5, 15.0, 25.0)
     lo, hi = sorted((d1, d2))
-    assert ant.gain_at(lo) >= ant.gain_at(hi)
+    assert ant.gain_at_sq(lo * lo) >= ant.gain_at_sq(hi * hi)
 
 
 def test_side_gain_above_main_rejected():

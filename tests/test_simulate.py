@@ -482,6 +482,24 @@ def test_interference_moves_with_the_node(base):
     assert moved == pytest.approx(0.5 / (50.0**2 + 20.0**2) ** 2)
 
 
+def test_interference_refuses_a_block_of_replications(base):
+    block = sample_network(base.params, base.speed, 1.0, np.random.default_rng(1), size=4)
+    assert np.unique(block.owner).size == 4
+    fading = np.ones(block.n)
+    with pytest.raises(ValueError, match="block of 4"):
+        interference(block, base.params, "0", fading=fading)
+    with pytest.raises(ValueError, match="block of 4"):
+        sinr(block, base.params, "0", serving_fading=1.0, interferer_fading=fading)
+    # no owner, an empty owner and a block of one replication are single replications
+    one = dataclasses.replace(block, owner=np.full(block.n, 2))
+    single = interference(one, base.params, "0", fading=fading)
+    assert single == interference(dataclasses.replace(block, owner=None), base.params, "0",
+                                  fading=fading)
+    assert single > 0.0
+    assert interference(dataclasses.replace(_EMPTY, owner=np.empty(0, dtype=int)),
+                        base.params, "0", fading=np.empty(0)) == 0.0
+
+
 def test_sinr_no_interferer_value(base):
     got = sinr(_EMPTY, base.params, "0", serving_fading=1.0,
                interferer_fading=np.empty(0))
