@@ -329,20 +329,16 @@ def _integrate_mapped(f, a: float, b: float, points, *,
     return integrate_array_detailed(mapped, 0.0, float(n), SPEC, points=cuts)
 
 
-# cap on the direction nodes times thresholds that one batch of the bracket
-# holds, which bounds the transient memory of a threshold grid
-_BATCH = 1 << 15
-
-
 class _Exponent:
     """Taylor coefficients around (-1, -1) of the joint and both marginal exponents.
 
     One instance serves a grid of thresholds.  Of a fading factor
     (1 - q s)^(-k) only q depends on the threshold, as threshold / g_main
     times ``attenuation(d2)``, so the geometry of every node is computed
-    once for the whole grid.  The radial integrand is x (D - a1 b1^T) per
-    threshold, with a1 = (1, a), b1 = (1, b) and D one on the leading 2 x 2
-    block (see the module docstring).
+    once for the whole grid, and the coefficients one threshold at a time,
+    which bounds the transient memory of a grid.  The radial integrand is
+    x (D - a1 b1^T) per threshold, with a1 = (1, a), b1 = (1, b) and D one
+    on the leading 2 x 2 block (see the module docstring).
     """
 
     def __init__(self, params, thresholds):
@@ -365,15 +361,14 @@ class _Exponent:
         """Gain times path loss relative to the serving link's, at squared distances d2."""
         return self.params.antenna.gain_at_sq(d2) * (self.h2 / (self.h2 + d2)) ** self.half_alpha
 
-    def _powers(self, gq: np.ndarray):
-        """Yield r^k (q r)^i for i = 0..k-1, r = 1/(1+q), at the ``attenuation`` values gq.
+    def _powers(self, q: np.ndarray):
+        """Yield r^k (q r)^i for i = 0..k-1, r = 1/(1+q), at the q values ``q``.
 
-        Times C(k+i-1, i) they are the coefficients of (1 - q s)^(-k), one
-        row per node and one column per threshold.  They come by repeated
-        multiplication, and each yielded array is updated in place by the
-        next step.
+        Times C(k+i-1, i) they are the coefficients of (1 - q s)^(-k); the
+        bracket passes the 1-D q of one threshold at a time.  They come by
+        repeated multiplication in place: pass a fresh ``q``, which is
+        overwritten, and copy a yielded array to keep it past the next step.
         """
-        q = gq[:, None] * self.scale
         r = np.reciprocal(q + 1.0)
         power = r
         for _ in range(1, self.k):
@@ -387,8 +382,8 @@ class _Exponent:
 
     def series(self, d2: np.ndarray) -> np.ndarray:
         """Coefficients of (1 - q s)^(-k) at squared distances d2, shape (n, T, k)."""
-        powers = [power.copy() for power in self._powers(self.attenuation(d2))]
-        return np.stack(powers, axis=-1) * self.binom
+        q = self.attenuation(d2)[:, None] * self.scale
+        return np.stack([power.copy() for power in self._powers(q)], axis=-1) * self.binom
 
     def _bracket(self, x: np.ndarray, vt: float) -> np.ndarray:
         """The radial integrand at the nodes x, shape (n, T, k+1, k+1)."""
@@ -396,24 +391,23 @@ class _Exponent:
         p = self.params.p_mobile
         k = self.k
         # direction angles in [0, pi], split where the moved node crosses a
-        # gain boundary; a cut that does not fall inside (0, pi) lands on an
-        # end and leaves a zero-length panel
+        # gain boundary; a cut outside (0, pi) lands on an end and leaves a
+        # zero-length panel, as every cut does where vt is tiny or 0 and the
+        # quotients are +-inf, their limit
         base, xvt = x * x + vt * vt, 2.0 * x * vt
-        cuts = [np.zeros((len(x), 1)), np.full((len(x), 1), math.pi)]
-        if vt > 0.0:
-            # for a tiny vt the quotients overflow to +-inf, which is their limit
-            with np.errstate(divide="ignore", over="ignore"):
-                crossing = (base[:, None] - self.radii_sq) / xvt[:, None]
-                cuts.append(np.arccos(np.clip(crossing, -1.0, 1.0)))
-                # the path loss is singular at phi = +-i*pole, close to the
-                # real axis when nodes fly low; panels doubling in length
-                # from phi = 0 each stay as far from it as they are long
-                pole = np.arccosh(1.0 + (self.h2 + (x - vt) ** 2) / xvt)
-            doublings, smallest = 0, pole.min()
-            while smallest < math.pi:
-                doublings, smallest = doublings + 1, 2.0 * smallest
-            cuts.append(np.minimum(pole[:, None] * 2.0 ** np.arange(doublings), math.pi))
-        cuts = np.concatenate(cuts, axis=1)
+        with np.errstate(divide="ignore", over="ignore"):
+            crossing = (base[:, None] - self.radii_sq) / xvt[:, None]
+            # the path loss is singular at phi = +-i*pole, close to the
+            # real axis when nodes fly low; panels doubling in length
+            # from phi = 0 each stay as far from it as they are long
+            pole = np.arccosh(1.0 + (self.h2 + (x - vt) ** 2) / xvt)
+        doublings, smallest = 0, pole.min()
+        while smallest < math.pi:
+            doublings, smallest = doublings + 1, 2.0 * smallest
+        cuts = np.concatenate([
+            np.zeros((len(x), 1)), np.full((len(x), 1), math.pi),
+            np.arccos(np.clip(crossing, -1.0, 1.0)),
+            np.minimum(pole[:, None] * 2.0 ** np.arange(doublings), math.pi)], axis=1)
         cuts.sort(axis=1)
         half = 0.5 * np.diff(cuts, axis=1)
         # only the panels of positive length, grouped by node; every node
@@ -426,22 +420,17 @@ class _Exponent:
         far = (self.h2 + base)[row, None] - xvt[row, None] * np.cos(
             start[:, None] + half[:, None] * self.offsets)
         around = (gain[:, None] * (self.h2 / far) ** self.half_alpha).ravel()
-        weights = (half[:, None] * self.rule).ravel()[:, None]
+        weights = (half[:, None] * self.rule).ravel()
         at_x = self.attenuation(x * x)
-        # each radial node's first direction node, and their count at the end
-        first = len(self.offsets) * np.searchsorted(row, np.arange(len(x) + 1))
+        # each radial node's first direction node
+        first = len(self.offsets) * np.searchsorted(row, np.arange(len(x)))
         a1 = np.ones((len(x), len(self.scale), k + 1))
         b1 = np.ones_like(a1)
-        cap = _BATCH // len(self.scale)
-        lo = 0
-        while lo < len(x):  # batches of whole radial nodes, as many as fit the cap
-            hi = max(lo + 1, int(np.searchsorted(first, first[lo] + cap, side="right")) - 1)
-            nodes = slice(first[lo], first[hi])
-            pairs = zip(self._powers(at_x[lo:hi]), self._powers(around[nodes]))
+        for j, scale in enumerate(self.scale.tolist()):
+            pairs = zip(self._powers(at_x * scale), self._powers(around * scale))
             for i, (static, mobile) in enumerate(pairs, 1):
-                a1[lo:hi, :, i] = static
-                b1[lo:hi, :, i] = np.add.reduceat(weights[nodes] * mobile, first[lo:hi] - first[lo])
-            lo = hi
+                a1[:, j, i] = static
+                b1[:, j, i] = np.add.reduceat(weights * mobile, first)
         b1[:, :, 1:] += (1.0 - p) * a1[:, :, 1:]  # a static node stays at x
         a1[:, :, 1:] *= self.binom
         b1[:, :, 1:] *= self.binom

@@ -17,7 +17,6 @@ antenna angles).
 
 from __future__ import annotations
 
-import abc
 import json
 import logging
 import math
@@ -170,58 +169,8 @@ def _integer(problems: list[str], name: str, value, lo: int, hi: int | None) -> 
 # ---------------------------------------------------------------------------
 
 
-class SpeedDistribution(abc.ABC):
-    """Distribution of a mobile node's speed; support must be bounded."""
-
-    kind: str = ""
-
-    @abc.abstractmethod
-    def cdf(self, v: float) -> float:
-        ...
-
-    @abc.abstractmethod
-    def pdf(self, v: float) -> float:
-        """Density at v; an array of speeds gives an array of densities."""
-
-    @abc.abstractmethod
-    def density_knots(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """(speeds, densities) at the knots of the piecewise-linear density.
-
-        The density interpolates linearly between consecutive knots and is 0
-        outside the first and last.
-        """
-
-    @property
-    @abc.abstractmethod
-    def support_min(self) -> float:
-        ...
-
-    @property
-    @abc.abstractmethod
-    def support_max(self) -> float:
-        ...
-
-    @property
-    def atom(self) -> float | None:
-        """The single point of support for degenerate distributions, else None."""
-        return None
-
-    @property
-    def pdf_breakpoints(self) -> tuple[float, ...]:
-        """Speeds where the density is non-smooth (quadrature split points)."""
-        return self.density_knots()[0]
-
-    @abc.abstractmethod
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        ...
-
-    @abc.abstractmethod
-    def to_dict(self) -> dict:
-        ...
-
-
 @dataclass(frozen=True)
-class FixedSpeed(SpeedDistribution):
+class FixedSpeed:
     """Every mobile node moves at the same speed ``v``."""
 
     v: float
@@ -252,7 +201,7 @@ class FixedSpeed(SpeedDistribution):
         return self.v
 
     @property
-    def atom(self) -> float | None:
+    def atom(self) -> float:
         return self.v
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -262,19 +211,22 @@ class FixedSpeed(SpeedDistribution):
         return {"kind": "fixed", "v": self.v}
 
 
-class TabulatedSpeed(SpeedDistribution):
+class TabulatedSpeed:
     """Piecewise-linear density given as (speed, density) rows.
 
     The densities are renormalized at load so the trapezoid mass is exactly
     1.  The table is kept as given and is what :meth:`to_dict` writes, so a
     law rebuilt from that form repeats the one renormalization and has the
     same knots bit for bit.  The cdf is the exact integral of the
-    interpolated density, and sampling inverts it segment by segment.  Two
+    interpolated density.  Sampling inverts it within a piece in units of
+    the piece's mass and width, where its density has mean 1, so no density
+    is squared and one near the float limit keeps its draws.  Two
     laws are equal, and hash equal, when they have the same class and the
     same knots.
     """
 
     kind = "tabulated"
+    atom = None  # no single point of support, unlike FixedSpeed
 
     def __init__(self, table):
         try:
@@ -333,11 +285,22 @@ class TabulatedSpeed(SpeedDistribution):
         return float(self._cum[i] + f0 * dv + 0.5 * slope * dv * dv)
 
     def pdf(self, v: float) -> float:
+        """Density at v; an array of speeds gives an array of densities."""
         density = np.interp(v, self._speeds, self._dens, left=0.0, right=0.0)
         return density if np.ndim(v) else float(density)
 
     def density_knots(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """(speeds, densities) at the knots of the piecewise-linear density.
+
+        The density interpolates linearly between consecutive knots and is 0
+        outside the first and last.
+        """
         return self._knots
+
+    @property
+    def pdf_breakpoints(self) -> tuple[float, ...]:
+        """Speeds where the density is non-smooth (quadrature split points)."""
+        return self._knots[0]
 
     @property
     def support_min(self) -> float:
@@ -350,15 +313,14 @@ class TabulatedSpeed(SpeedDistribution):
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.random(size)
         i = np.clip(np.searchsorted(self._cum, u, side="right") - 1, 0, len(self._speeds) - 2)
-        du = u - self._cum[i]
-        f0 = self._dens[i]
-        width = self._speeds[i + 1] - self._speeds[i]
-        slope = (self._dens[i + 1] - f0) / width
-        disc = np.maximum(f0 * f0 + 2.0 * slope * du, 0.0)
-        denom = f0 + np.sqrt(disc)
+        f0, f1 = self._dens[i], self._dens[i + 1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            x = np.where(denom > 0, 2.0 * du / denom, 0.0)
-        return self._speeds[i] + np.clip(x, 0.0, width)
+            s = (u - self._cum[i]) / (self._cum[i + 1] - self._cum[i])
+            mean = 0.5 * f0 + 0.5 * f1
+            g0, g1 = f0 / mean, f1 / mean
+            denom = g0 + np.sqrt(np.maximum(g0 * g0 + 2.0 * (g1 - g0) * s, 0.0))
+            z = np.where(denom > 0, 2.0 * s / denom, 0.0)
+        return self._speeds[i] + np.minimum(z, 1.0) * (self._speeds[i + 1] - self._speeds[i])
 
     def to_dict(self) -> dict:
         return {"kind": "tabulated", "table": self._table.tolist()}
@@ -401,6 +363,10 @@ class UniformSpeed(TabulatedSpeed):
 
     def to_dict(self) -> dict:
         return {"kind": "uniform", "v_min": self.v_min, "v_max": self.v_max}
+
+
+# the speed law of a mobile node, of bounded support
+SpeedDistribution = FixedSpeed | TabulatedSpeed
 
 
 def speed_from_dict(d: dict) -> SpeedDistribution:

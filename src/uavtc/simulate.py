@@ -243,12 +243,10 @@ def _mean_result(total: int, total_sq: int, n: int, seed: int) -> EstimatorResul
     return EstimatorResult(mean, math.sqrt(max(var, 0.0) / n), n, seed)
 
 
-def _run_blocks(kernel, args, seed, purpose, lo, hi, reps, width):
-    acc = np.zeros(width, dtype=np.int64)
-    for block in range(lo, hi):
-        size = min(_BLOCK, reps - block * _BLOCK)
-        acc += kernel(_block_stream(seed, purpose, block), size, *args)
-    return acc
+def _run_blocks(kernel, args, seed, purpose, lo, hi, reps):
+    """Sum of the int64 counts ``kernel`` returns for the blocks lo..hi-1, lo < hi."""
+    return sum(kernel(_block_stream(seed, purpose, b), min(_BLOCK, reps - b * _BLOCK), *args)
+               for b in range(lo, hi))
 
 
 _shared: ProcessPoolExecutor | None = None
@@ -271,7 +269,7 @@ def shared_pool(workers: int):
 
 
 def _accumulate(kernel: Callable, args: tuple, reps: int, seed: int, purpose: int,
-                workers: int, width: int) -> np.ndarray:
+                workers: int) -> np.ndarray:
     """Sum ``kernel`` over the blocks of ``reps`` replications of the scenario ``args[0]``.
 
     Checks the run's arguments first, so a bad one never reaches a pool.
@@ -288,20 +286,17 @@ def _accumulate(kernel: Callable, args: tuple, reps: int, seed: int, purpose: in
     blocks = -(-reps // _BLOCK)
     chunks = min(workers, blocks)
     if chunks <= 1:
-        return _run_blocks(kernel, args, seed, purpose, 0, blocks, reps, width)
+        return _run_blocks(kernel, args, seed, purpose, 0, blocks, reps)
     bounds = np.linspace(0, blocks, chunks + 1, dtype=int)
-    acc = np.zeros(width, dtype=np.int64)
     with contextlib.ExitStack() as stack:
         pool = _shared
         if pool is None:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=chunks))
         futures = [
-            pool.submit(_run_blocks, kernel, args, seed, purpose, int(lo), int(hi), reps, width)
+            pool.submit(_run_blocks, kernel, args, seed, purpose, int(lo), int(hi), reps)
             for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
-        for fut in futures:
-            acc += fut.result()
-    return acc
+        return sum(fut.result() for fut in futures)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +379,7 @@ def _estimate_joint_grid(scenario: ValidatedScenario, thresholds: Sequence[float
     for threshold in grid.tolist():
         check_threshold(threshold)
     seed, reps = scenario.seed, scenario.replications
-    acc = _accumulate(_joint_kernel, (scenario, grid), reps, seed, _JOINT, workers, 3 * len(grid))
+    acc = _accumulate(_joint_kernel, (scenario, grid), reps, seed, _JOINT, workers)
     estimates = []
     for joint_c, s0_c, st_c in acc.reshape(-1, 3).tolist():
         # of the reps - s0_c failures at 0, st_c - joint_c succeed at t
@@ -410,7 +405,7 @@ def estimate_conditional_pmf(
     m = check_count(m)
     n_max = check_n_max(n_max)
     seed, reps = scenario.seed, scenario.replications
-    acc = _accumulate(_pmf_kernel, (scenario, m, n_max), reps, seed, _PMF, workers, n_max + 2)
+    acc = _accumulate(_pmf_kernel, (scenario, m, n_max), reps, seed, _PMF, workers)
     probs = acc[: n_max + 1] / reps
     return InterfererPmf(m=m, t=scenario.t_gap, probs=probs, tail_mass=float(acc[-1] / reps))
 
@@ -433,9 +428,8 @@ def estimate_conditional_success(
         check_threshold(threshold)
     m = check_count(m)
     seed, reps = scenario.seed, scenario.replications
-    acc = _accumulate(
-        _cond_success_kernel, (scenario, m, grid), reps, seed, _COND_SUCCESS, workers, len(grid)
-    )
+    acc = _accumulate(_cond_success_kernel, (scenario, m, grid), reps, seed, _COND_SUCCESS,
+                      workers)
     return [_bernoulli_result(int(c), reps, seed) for c in acc]
 
 
@@ -447,7 +441,7 @@ def estimate_arrivals_departures(
     """Mean (arrivals, departures) of footprint crossings between the instants."""
     m = check_count(m)
     seed, reps = scenario.seed, scenario.replications
-    acc = _accumulate(_arr_dep_kernel, (scenario, m), reps, seed, _ARR_DEP, workers, 4)
+    acc = _accumulate(_arr_dep_kernel, (scenario, m), reps, seed, _ARR_DEP, workers)
     dep = _mean_result(int(acc[0]), int(acc[1]), reps, seed)
     arr = _mean_result(int(acc[2]), int(acc[3]), reps, seed)
     return arr, dep

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -529,6 +530,23 @@ def test_retransmission_undefined_when_failures_vanish():
     sc = baseline_scenario(**{"lambda": 0.0}, k=1, threshold_db=-200.0)
     with pytest.raises(ValueError, match="vanishing"):
         retransmission_report(sc.params, sc.speed, 1.0, sc.threshold)
+
+
+def test_reports_at_vanishing_gaps_equal_the_static_report(base):
+    # vt underflows or the direction cuts' quotients overflow to +-inf, so the
+    # bracket's one direction panel is [0, pi], as at t = 0; a density's bound
+    # adds the estimate of its integral over v
+    names = ("p_joint", "p_marginal_0", "p_marginal_t", "p_retx_given_fail", "p_independent_joint")
+    for speed in (FixedSpeed(10.0), FixedSpeed(1e-300), UniformSpeed(0.0, 40.0),
+                  UniformSpeed(5.0, 15.0)):
+        static = success_report(base.params, speed, 0.0, base.threshold)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (5e-324, 1e-310, 1e-20):
+                report = success_report(base.params, speed, t, base.threshold)
+                for name in names:
+                    assert getattr(report, name) == getattr(static, name), (speed, t, name)
+                assert report.quadrature_error_bound >= static.quadrature_error_bound
 
 
 def test_joint_success_respects_marginal_bound_on_grid(base):

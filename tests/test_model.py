@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -392,6 +393,17 @@ def test_tabulated_sampling_inverts_cdf(u):
     draw = float(s.sample(_FakeRng(), 1)[0])
     assert 1.0 <= draw <= 6.0
     assert s.cdf(draw) == pytest.approx(u, abs=1e-9)
+
+
+def test_tabulated_sampling_keeps_a_spike_near_the_float_limit():
+    # a density of 1e200 overflowed the squares of the old inversion, which put
+    # every draw of the spike on a knot: 2 distinct draws of mean 5e-201
+    s = TabulatedSpeed([[0, 0], [1e-200, 1e200], [2e-200, 0], [1, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = s.sample(np.random.default_rng(1), 10_000)
+    assert np.unique(draws).size >= 9_990
+    assert draws.mean() == pytest.approx(1e-200, rel=0.02)
 
 
 def test_speed_from_dict_rejects_bad_kinds():
