@@ -284,8 +284,7 @@ def run(spec: ExperimentSpec) -> dict:
     """Execute one experiment grid and write all artifacts."""
     started = time.time()
     experiment = EXPERIMENTS[spec.kind]
-    with simulate.shared_pool(spec.workers):
-        rows = list(experiment.rows(spec))
+    rows = list(experiment.rows(spec))
 
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     results_path = spec.out_dir / "results.csv"

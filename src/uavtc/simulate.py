@@ -12,16 +12,18 @@ costs the same for any gap and speed law.  Per-replication statistics are
 small non-negative integers summed exactly, and workers receive whole ranges
 of blocks, so the estimates are identical bit for bit for any worker count.
 
-An estimator called directly starts its own process pool when it has more
-than one worker; inside ``shared_pool`` every estimator reuses one pool.
+With more than one worker, every estimator in a process shares one process
+pool: started on first use, replaced when a call asks for another worker
+count, and joined when the interpreter exits.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import operator
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -249,23 +251,27 @@ def _run_blocks(kernel, args, seed, purpose, lo, hi, reps):
                for b in range(lo, hi))
 
 
-_shared: ProcessPoolExecutor | None = None
+_pool: tuple[int, ProcessPoolExecutor] | None = None  # (workers, pool) of this process
+_pool_lock = threading.Lock()  # held while a call uses or replaces the pool
 
 
-@contextlib.contextmanager
-def shared_pool(workers: int):
-    """Let every estimator inside the block reuse one pool of ``workers`` processes."""
-    global _shared
-    if workers <= 1:
-        yield
-        return
-    previous = _shared
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        _shared = pool
-        try:
-            yield
-        finally:
-            _shared = previous
+def _executor(workers: int, fresh: bool = False) -> ProcessPoolExecutor:
+    """The process's pool of ``workers`` processes; ``fresh`` replaces a pool that broke."""
+    global _pool
+    if fresh or _pool is None or _pool[0] != workers:
+        if _pool is not None:
+            _pool[1].shutdown()
+        _pool = (workers, ProcessPoolExecutor(max_workers=workers))
+    return _pool[1]
+
+
+def _check_positive(name: str, value) -> None:
+    try:
+        valid = operator.index(value) >= 1
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _accumulate(kernel: Callable, args: tuple, reps: int, seed: int, purpose: int,
@@ -276,27 +282,29 @@ def _accumulate(kernel: Callable, args: tuple, reps: int, seed: int, purpose: in
     """
     if not 0 <= operator.index(seed) < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")
-    try:
-        valid = operator.index(reps) >= 1
-    except TypeError:
-        valid = False
-    if not valid:
-        raise ValueError(f"replications must be an integer >= 1, got {reps!r}")
+    _check_positive("replications", reps)
+    _check_positive("workers", workers)
     check_gap(args[0].t_gap)
     blocks = -(-reps // _BLOCK)
     chunks = min(workers, blocks)
     if chunks <= 1:
         return _run_blocks(kernel, args, seed, purpose, 0, blocks, reps)
     bounds = np.linspace(0, blocks, chunks + 1, dtype=int)
-    with contextlib.ExitStack() as stack:
-        pool = _shared
-        if pool is None:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=chunks))
+
+    def run(pool):
         futures = [
             pool.submit(_run_blocks, kernel, args, seed, purpose, int(lo), int(hi), reps)
             for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
         return sum(fut.result() for fut in futures)
+
+    with _pool_lock:
+        try:
+            return run(_executor(workers))
+        except BrokenProcessPool:
+            # a worker of the kept pool died, perhaps while idle; the blocks are
+            # pure functions of (seed, block), so a fresh pool gives the same sums
+            return run(_executor(workers, fresh=True))
 
 
 # ---------------------------------------------------------------------------

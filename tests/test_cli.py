@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from uavtc import cli, simulate
+from uavtc import cli
 from uavtc.cli import emit_plotdata, main
 
 from helpers import BASELINE_CONFIG, count_radial_integrals
@@ -203,20 +203,13 @@ def test_version_is_described_once_per_process(runner, config_path, tmp_path, mo
     assert versions[0] == versions[1]
 
 
-def test_run_starts_one_pool_for_the_grid(runner, config_path, tmp_path, monkeypatch):
-    started = []
-
-    class CountingPool(simulate.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
-    result = runner.invoke(main, [
-        "interferer-pmf", "--config", config_path, "--m", "3,9", "--sweep-t", "1,5",
-        "--workers", "2", "--out", str(tmp_path / "pmf")])
-    assert result.exit_code == 0, result.output
-    assert started == [2]
+def test_successive_runs_start_one_pool(runner, config_path, tmp_path, pool_starts):
+    for name in ("a", "b"):
+        result = runner.invoke(main, [
+            "interferer-pmf", "--config", config_path, "--m", "3,9", "--sweep-t", "1,5",
+            "--workers", "2", "--out", str(tmp_path / name)])
+        assert result.exit_code == 0, result.output
+    assert pool_starts == [2]
 
 
 def test_conditional_success_grid(runner, config_path, tmp_path):
@@ -283,6 +276,19 @@ def test_results_byte_identical_across_runs_and_workers(runner, config_path, tmp
     assert r1.exit_code == 0 and r2.exit_code == 0
     assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
     assert (out1 / "plotdata.csv").read_bytes() == (out2 / "plotdata.csv").read_bytes()
+
+
+def test_runs_at_changing_worker_counts_write_identical_files(runner, config_path, tmp_path):
+    # the pool a process keeps outlives each run; a one-worker run leaves it be
+    outputs = []
+    for i, workers in enumerate((2, 1, 2)):
+        out = tmp_path / f"run{i}"
+        result = runner.invoke(main, [
+            "interferer-pmf", "--config", config_path, "--m", "3,9", "--sweep-t", "1,5",
+            "--workers", str(workers), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        outputs.append([(out / name).read_bytes() for name in ("results.csv", "plotdata.csv")])
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_workers_env_default(runner, config_path, tmp_path):

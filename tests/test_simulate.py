@@ -2,6 +2,14 @@
 
 import dataclasses
 import math
+import multiprocessing.connection
+import os
+import re
+import signal
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,26 +97,90 @@ def test_identical_for_any_worker_count_at_block_edges(name, reps):
     assert _as_values(estimate(sc, 1)) == serial
 
 
-def test_shared_pool_is_reused_and_matches_per_call_pools(base, monkeypatch):
-    started = []
-
-    class CountingPool(simulate.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
+def test_estimators_share_one_pool_and_match_serial(base, pool_starts):
     sc = dataclasses.replace(base, replications=1000)
-    per_call = [_as_values(estimate(sc, 2)) for estimate in _ESTIMATORS.values()]
-    assert started == [2] * len(_ESTIMATORS)
-    started.clear()
-    with simulate.shared_pool(2):
-        shared = [_as_values(estimate(sc, 2)) for estimate in _ESTIMATORS.values()]
-    assert started == [2]
-    assert shared == per_call
-    with simulate.shared_pool(1):
-        assert _as_values(_ESTIMATORS["joint"](sc, 1)) == per_call[0]
-    assert started == [2]
+    serial = [_as_values(estimate(sc, 1)) for estimate in _ESTIMATORS.values()]
+    assert pool_starts == []
+    assert [_as_values(estimate(sc, 2)) for estimate in _ESTIMATORS.values()] == serial
+    assert pool_starts == [2]
+    assert _as_values(_ESTIMATORS["joint"](sc, 3)) == serial[0]
+    assert pool_starts == [2, 3]
+
+
+@pytest.mark.parametrize("workers", [0, -3, 2.5, "2", None])
+def test_bad_worker_counts_are_rejected_before_a_pool_starts(base, pool_starts, workers):
+    # 0 and -3 used to run serially, the others to raise a bare TypeError
+    message = re.escape(f"workers must be an integer >= 1, got {workers!r}")
+    with pytest.raises(ValueError, match=message):
+        estimate_joint_success(dataclasses.replace(base, replications=1000), workers=workers)
+    assert pool_starts == []
+
+
+def test_numpy_integer_workers_keep_their_results(base):
+    sc = dataclasses.replace(base, replications=1000)
+    assert estimate_joint_success(sc, workers=np.int64(2)) == estimate_joint_success(sc)
+
+
+def test_a_killed_idle_worker_does_not_fail_the_next_call(base, pool_starts):
+    # a worker that dies between calls breaks the kept pool; the next call
+    # reruns on a fresh pool instead of raising BrokenProcessPool
+    sc = dataclasses.replace(base, replications=1000)
+    before = estimate_joint_success(sc, workers=2)
+    pid, worker = next(iter(simulate._pool[1]._processes.items()))
+    os.kill(pid, signal.SIGKILL)
+    assert multiprocessing.connection.wait([worker.sentinel], timeout=30)
+    assert estimate_joint_success(sc, workers=2) == before
+    assert estimate_joint_success(sc, workers=2) == before
+
+
+def test_threads_asking_for_different_worker_counts_get_their_results(base):
+    # a call that replaces the kept pool must not shut it down under another thread's call
+    sc = dataclasses.replace(base, replications=1000)
+    serial = estimate_joint_success(sc)
+    results, errors = [], []
+
+    def call(workers):
+        try:
+            for _ in range(3):
+                results.append(estimate_joint_success(sc, workers=workers))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=call, args=(2 + i % 2,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert results == [serial] * 12
+
+
+_EXIT_PROBE = """
+import sys
+sys.path[:0] = [{src!r}, {tests!r}]
+from helpers import baseline_scenario
+from uavtc import simulate
+simulate.estimate_joint_success(baseline_scenario(replications=1000), workers=2)
+print(*simulate._pool[1]._processes)
+"""
+
+
+def test_pool_workers_are_joined_at_interpreter_exit():
+    code = _EXIT_PROBE.format(src=str(Path(simulate.__file__).parents[1]),
+                              tests=str(Path(__file__).parent))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, check=True)
+    pids = [int(pid) for pid in done.stdout.split()]
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_seed_changes_the_stream(base):
@@ -324,32 +396,11 @@ def test_empirical_pmf_takes_numpy_integers(base):
     lambda sc: estimate_conditional_success(2.5, sc, workers=2),
     lambda sc: estimate_arrivals_departures(-1, sc, workers=2),
 ])
-def test_bad_counts_are_rejected_before_a_pool_starts(base, monkeypatch, estimate):
+def test_bad_counts_are_rejected_before_a_pool_starts(base, pool_starts, estimate):
     # the pmf estimator used to start a pool and get the error back from a worker
-    started = []
-
-    class CountingPool(simulate.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
     with pytest.raises(ValueError, match="m must be a non-negative integer"):
         estimate(dataclasses.replace(base, replications=1000))
-    assert started == []
-
-
-@pytest.fixture
-def pool_starts(monkeypatch):
-    started = []
-
-    class CountingPool(simulate.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
-    return started
+    assert pool_starts == []
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -391,10 +442,9 @@ def test_joint_grid_columns_equal_single_threshold_runs(base, workers):
     # the grid compares one shared draw against every threshold
     sc = dataclasses.replace(base, replications=700)
     thresholds = [0.0, 0.01, 0.1, 1.0, 10.0]
-    with simulate.shared_pool(workers):
-        grid = simulate._estimate_joint_grid(sc, thresholds, workers=workers)
-        singles = [estimate_joint_success(dataclasses.replace(sc, threshold=threshold),
-                                          workers=workers) for threshold in thresholds]
+    grid = simulate._estimate_joint_grid(sc, thresholds, workers=workers)
+    singles = [estimate_joint_success(dataclasses.replace(sc, threshold=threshold),
+                                      workers=workers) for threshold in thresholds]
     assert grid == singles
 
 
