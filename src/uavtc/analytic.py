@@ -442,6 +442,9 @@ class _Exponent:
     def at_distance(self, vt: float) -> tuple[np.ndarray, float]:
         """The exponents when every mobile node moves the distance vt; ((T, k+1, k+1), bound)."""
         ant = self.params.antenna
+        # from vt = 2 r_out on no node is in the footprint at both instants,
+        # and the gain is 0 beyond r_out, so the exponents no longer depend on vt
+        vt = min(vt, 2.0 * ant.r_out)
         points = {ant.r_in, ant.r_out}
         for r in (ant.r_in, ant.r_out):
             points.update((abs(r - vt), r + vt))
@@ -536,12 +539,6 @@ def _success_grid(params, speed, t, thresholds):
     return rows, err
 
 
-def _success_detailed(params, speed, t, threshold):
-    """Joint, time-0 and time-t success at gap t, and the quadrature error bound."""
-    (row,), err = _success_grid(params, speed, t, (threshold,))
-    return (*row, err)
-
-
 def joint_success(
     params: NetworkParams,
     speed: SpeedDistribution,
@@ -549,7 +546,8 @@ def joint_success(
     threshold: float,
 ) -> float:
     """P{SINR over threshold at both instants}."""
-    return _success_detailed(params, speed, t, threshold)[0]
+    ((joint, _, _),), _ = _success_grid(params, speed, t, (threshold,))
+    return joint
 
 
 def marginal_success(
@@ -569,9 +567,11 @@ def marginal_success(
     """
     if which == "time0":
         check_gap(t)
-        return _success_detailed(params, speed, 0.0, threshold)[1]
+        ((_, time0, _),), _ = _success_grid(params, speed, 0.0, (threshold,))
+        return time0
     if which == "timeT":
-        return _success_detailed(params, speed, t, threshold)[2]
+        ((_, _, time_t),), _ = _success_grid(params, speed, t, (threshold,))
+        return time_t
     raise ValueError("which must be 'time0' or 'timeT'")
 
 

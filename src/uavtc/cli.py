@@ -24,8 +24,6 @@ import functools
 import json
 import logging
 import math
-import os
-import subprocess
 import sys
 import time
 from collections.abc import Callable, Iterable
@@ -42,7 +40,6 @@ from .model import (
     check_count,
     check_gap,
     db_to_linear,
-    linear_to_db,
     load_config,
     scenario_to_dict,
     validate,
@@ -93,43 +90,26 @@ def _parse_list(text: str | None, cast, flag: str):
         raise ConfigError([f"{flag}: {exc}"]) from exc
 
 
-@functools.cache
-def _version_string() -> str:
-    try:
-        described = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            capture_output=True, text=True, timeout=5,
-            cwd=Path(__file__).resolve().parent,
-        )
-        if described.returncode == 0 and described.stdout.strip():
-            return f"{__version__}+g{described.stdout.strip()}"
-    except OSError:
-        pass
-    return __version__
-
-
 # ---------------------------------------------------------------------------
 # Experiment computation
 # ---------------------------------------------------------------------------
 
 
-def _sinr_points(spec: ExperimentSpec, reports, sweep_tdb: bool = True):
+def _sinr_points(spec: ExperimentSpec, reports):
     """Yield (t, dB, analytic report, Monte Carlo estimate) over the (t, threshold) grid.
 
     ``reports`` maps (params, speed, t, thresholds) to one analytic report
     per threshold.  Each gap takes one analytic call and one Monte Carlo
-    stream for its whole threshold grid.  Without ``sweep_tdb`` the one
-    threshold is the scenario's own and dB is None.
+    stream for its whole threshold grid.
     """
     sc = spec.scenario
-    dbs = spec.sweep_tdb if sweep_tdb else (None,)
-    thresholds = [sc.threshold if db is None else db_to_linear(db) for db in dbs]
+    thresholds = [db_to_linear(db) for db in spec.sweep_tdb]
     for t in spec.sweep_t:
         reps = reports(sc.params, sc.speed, t, thresholds)
         ests = simulate._estimate_joint_grid(
             replace(sc, t_gap=float(t)), thresholds, workers=spec.workers)
         log.info("%s t=%g: %d thresholds", spec.kind, t, len(thresholds))
-        yield from ((t, db, rep, est) for db, rep, est in zip(dbs, reps, ests))
+        yield from ((t, db, rep, est) for db, rep, est in zip(spec.sweep_tdb, reps, ests))
 
 
 def _retransmission_reports(params, speed, t, thresholds):
@@ -182,7 +162,7 @@ def _rows_conditional_success(spec: ExperimentSpec):
 
 
 def _rows_retransmission(spec: ExperimentSpec):
-    for t, _, rep, est in _sinr_points(spec, _retransmission_reports, sweep_tdb=False):
+    for t, _, rep, est in _sinr_points(spec, _retransmission_reports):
         yield [t, rep.p_retx_given_fail, *_estimate(est.retx_given_fail), rep.p_marginal_t]
 
 
@@ -297,7 +277,7 @@ def run(spec: ExperimentSpec) -> dict:
         "sweep_tdb": list(spec.sweep_tdb),
         "m_list": list(spec.m_list),
         "workers": spec.workers,
-        "version": _version_string(),
+        "version": __version__,
         "started_unix": started,
         "wall_seconds": None,
         "rows": len(rows),
@@ -360,15 +340,8 @@ def _build_spec(kind, config_path, seed, replications, workers, out_dir, sweep_t
                 sweep_tdb=None, m_list=None):
     overrides = {name: value for name, value in (("seed", seed), ("replications", replications))
                  if value is not None}
-    scenario = validate(replace(load_config(config_path), **overrides))
-    if workers is None:
-        env = os.environ.get("UAVTC_WORKERS")
-        try:
-            workers = int(env) if env else 1
-        except ValueError as exc:
-            raise ConfigError([f"UAVTC_WORKERS must be an integer, got {env!r}"]) from exc
-    if workers < 1:
-        raise ConfigError(["--workers must be >= 1"])
+    config = replace(load_config(config_path), **overrides)
+    scenario = validate(config)
     t_values = _parse_list(sweep_t, float, "--sweep-t")
     tdb_values = _parse_list(sweep_tdb, float, "--sweep-tdb")
     m_values = _parse_list(m_list, int, "--m")
@@ -384,8 +357,9 @@ def _build_spec(kind, config_path, seed, replications, workers, out_dir, sweep_t
         raise ConfigError(violations)
     default_m = (scenario.m_initial,) if scenario.m_initial is not None else ()
     if tdb_values is None:
+        # the config's own dB value, whose db_to_linear is scenario.threshold
         tdb_values = (DEFAULT_TDB_GRID if EXPERIMENTS[kind].grid_default
-                      else (linear_to_db(scenario.threshold),))
+                      else (float(config.threshold_db),))
     return ExperimentSpec(
         kind=kind,
         scenario=scenario,
@@ -419,8 +393,8 @@ _COMMON_OPTIONS = (
     click.option("--seed", type=int, default=None, help="Override the config seed."),
     click.option("--replications", type=int, default=None,
                  help="Override the config replication count."),
-    click.option("--workers", type=int, default=None,
-                 help="Worker processes (default: UAVTC_WORKERS or 1)."),
+    click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
+                 help="Worker processes."),
     click.option("--out", "out_dir", type=click.Path(file_okay=False), default="out",
                  show_default=True, help="Output directory."),
     click.option("--sweep-t", default=None,

@@ -72,9 +72,6 @@ def containment_cdf(
     check_gap(t)
     if t == 0:
         return 1.0 if x <= r else 0.0
-    if x == 0:
-        # the node ends exactly v*t away regardless of direction
-        return speed.cdf(r / t)
 
     lo = abs(x - r) / t
     hi = (x + r) / t

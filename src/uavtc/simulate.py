@@ -29,6 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .analytic import InterfererPmf
 from .mobility import displaced_distance
 from .model import (
     DEFAULT_TDB_GRID, NetworkParams, SpeedDistribution, ValidatedScenario, check_count, check_gap,
@@ -406,10 +407,8 @@ def estimate_conditional_pmf(
     scenario: ValidatedScenario,
     n_max: int,
     workers: int = 1,
-):
+) -> InterfererPmf:
     """Empirical pmf of the second-instant count given m initial interferers."""
-    from .analytic import InterfererPmf
-
     m = check_count(m)
     n_max = check_n_max(n_max)
     seed, reps = scenario.seed, scenario.replications

@@ -469,6 +469,24 @@ def test_joint_approaches_independence_at_large_gap(base):
     assert rep.p_joint == pytest.approx(rep.p_independent_joint, abs=0.01)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_fixed_speed_report_is_constant_once_no_node_can_stay(k):
+    # from v t = 2 r_out = 50 on no node is in the footprint at both instants
+    sc = baseline_scenario(k=k)
+    at_5 = success_report(sc.params, sc.speed, 5.0, sc.threshold)
+    for t in (10.0, 1e4, 1e12, 1e300):
+        assert success_report(sc.params, sc.speed, t, sc.threshold) == at_5, t
+
+
+@pytest.mark.parametrize("t", [1e4, 1e12])
+def test_speed_density_report_at_long_gaps_matches_the_gap_10_report(base, t):
+    # every speed in [5, 15] moves a node 2 r_out or more from t = 10 on
+    speed = UniformSpeed(5.0, 15.0)
+    at_10 = success_report(base.params, speed, 10.0, base.threshold)
+    got = success_report(base.params, speed, t, base.threshold)
+    assert_reports_match([got], [at_10], at_10.quadrature_error_bound)
+
+
 def test_noise_only_closed_form_rayleigh():
     sc = baseline_scenario(**{"lambda": 0.0}, k=1, noise=1e-6)
     p = sc.params

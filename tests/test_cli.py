@@ -3,12 +3,13 @@
 import csv
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from uavtc import cli
+from uavtc import __version__, cli
 from uavtc.cli import emit_plotdata, main
 
 from helpers import BASELINE_CONFIG, count_radial_integrals
@@ -182,25 +183,17 @@ def test_joint_success_runs_where_the_retry_is_undefined(runner, config_path, tm
     assert float(values["p_joint_analytic"]) <= float(values["p_marginal_0"])
 
 
-def test_version_is_described_once_per_process(runner, config_path, tmp_path, monkeypatch):
-    calls = []
-    real_run = cli.subprocess.run
+def test_summary_version_is_the_package_version_without_a_subprocess(
+        runner, config_path, tmp_path, monkeypatch):
+    def no_child(*args, **kwargs):
+        raise AssertionError(f"cli.run started a subprocess: {args}")
 
-    def counting_run(*args, **kwargs):
-        calls.append(args)
-        return real_run(*args, **kwargs)
-
-    monkeypatch.setattr(cli.subprocess, "run", counting_run)
-    cli._version_string.cache_clear()
-    versions = []
-    for name in ("a", "b"):
-        result = runner.invoke(main, [
-            "interferer-pmf", "--config", config_path, "--m", "3", "--sweep-t", "1",
-            "--out", str(tmp_path / name)])
-        assert result.exit_code == 0, result.output
-        versions.append(json.loads((tmp_path / name / "summary.json").read_text())["version"])
-    assert len(calls) == 1
-    assert versions[0] == versions[1]
+    monkeypatch.setattr(subprocess, "Popen", no_child)
+    result = runner.invoke(main, [
+        "interferer-pmf", "--config", config_path, "--m", "3", "--sweep-t", "1",
+        "--workers", "1", "--out", str(tmp_path / "v")])
+    assert result.exit_code == 0, result.output
+    assert json.loads((tmp_path / "v" / "summary.json").read_text())["version"] == __version__
 
 
 def test_successive_runs_start_one_pool(runner, config_path, tmp_path, pool_starts):
@@ -253,6 +246,24 @@ def test_compare_leaves_undefined_retry_empty(runner, config_path, tmp_path):
     assert float(rows["joint"][5]) <= marginal == float(rows["marginal_t"][5])
 
 
+def test_compare_and_retransmission_read_the_config_threshold(runner, tmp_path):
+    # -4.9 dB does not survive a dB -> linear -> dB round trip bit for bit;
+    # both commands take the config's own value and convert it once
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**BASELINE_CONFIG, "replications": 400, "threshold_db": -4.9}))
+    for command in ("compare", "retransmission"):
+        result = runner.invoke(main, [
+            command, "--config", str(path), "--sweep-t", "1", "--out", str(tmp_path / command)])
+        assert result.exit_code == 0, result.output
+    (retx,) = [r for r in read_csv(tmp_path / "compare" / "results.csv")
+               if r[0] == "retx_given_fail"]
+    header, row = read_csv(tmp_path / "retransmission" / "results.csv")
+    values = dict(zip(header, row))
+    assert float(retx[3]) == -4.9
+    assert retx[5] == values["p_retx_analytic"]
+    assert retx[6:8] == [values["p_retx_mc"], values["se"]]
+
+
 def test_summary_defaults_m_from_config(runner, config_path, tmp_path):
     # config carries m_initial=5; --m can be omitted
     out = tmp_path / "dflt"
@@ -289,15 +300,6 @@ def test_runs_at_changing_worker_counts_write_identical_files(runner, config_pat
         assert result.exit_code == 0, result.output
         outputs.append([(out / name).read_bytes() for name in ("results.csv", "plotdata.csv")])
     assert outputs[0] == outputs[1] == outputs[2]
-
-
-def test_workers_env_default(runner, config_path, tmp_path):
-    out = tmp_path / "env"
-    result = runner.invoke(main, [
-        "retransmission", "--config", config_path, "--sweep-t", "1", "--out", str(out)],
-        env={"UAVTC_WORKERS": "2"})
-    assert result.exit_code == 0, result.output
-    assert json.loads((out / "summary.json").read_text())["workers"] == 2
 
 
 def test_seed_override_changes_estimates(runner, config_path, tmp_path):
@@ -387,10 +389,13 @@ def test_out_of_range_override_exits_2(runner, config_path, tmp_path, flag, valu
     assert not out.exists()
 
 
-def test_negative_workers_exits_2(runner, config_path):
-    result = runner.invoke(main, [
-        "retransmission", "--config", config_path, "--workers", "0"])
-    assert result.exit_code == 2
+def test_negative_workers_exits_2(runner, config_path, tmp_path):
+    for value in ("0", "-1", "abc"):
+        out = tmp_path / f"never{value}"
+        result = runner.invoke(main, [
+            "retransmission", "--config", config_path, "--workers", value, "--out", str(out)])
+        assert result.exit_code == 2, (value, result.output)
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
