@@ -7,7 +7,6 @@ from .analytic import (
     footprint_egress_integral,
     footprint_ingress_integral,
     joint_success,
-    laplace_exponent_jet,
     marginal_success,
     mean_departures,
     retransmission_report,

@@ -67,7 +67,8 @@ from .numerics import _KW, _NODES, QuadratureSpec, integrate_array_detailed, jet
 # ROADMAP direction 1 moves that instrumentation into the library.
 from .mobility import containment_cdf  # noqa: F401
 from .numerics import (  # noqa: F401
-    integrate_detailed, integrate_jet, integrate_jet_detailed, jet_powneg)
+    integrate as integrate_jet, integrate_detailed,
+    integrate_detailed as integrate_jet_detailed, jet_powneg)
 
 log = logging.getLogger(__name__)
 
@@ -380,11 +381,6 @@ class _Exponent:
                 power *= q
                 yield power
 
-    def series(self, d2: np.ndarray) -> np.ndarray:
-        """Coefficients of (1 - q s)^(-k) at squared distances d2, shape (n, T, k)."""
-        q = self.attenuation(d2)[:, None] * self.scale
-        return np.stack([power.copy() for power in self._powers(q)], axis=-1) * self.binom
-
     def _bracket(self, x: np.ndarray, vt: float) -> np.ndarray:
         """The radial integrand at the nodes x, shape (n, T, k+1, k+1)."""
         ant = self.params.antenna
@@ -490,21 +486,6 @@ def _exponent_detailed(params, speed, t, thresholds):
     exponents[live], err = _integrate_mapped(
         at_speed, speed.support_min, speed.support_max, (*speed.pdf_breakpoints, *tangent))
     return exponents, err + worst_inner
-
-
-def laplace_exponent_jet(
-    params: NetworkParams,
-    speed: SpeedDistribution,
-    t: float,
-    threshold: float,
-) -> np.ndarray:
-    """Log of the two-instant interference Laplace functional, as a k x k coefficient array.
-
-    Entry [i, j] is the Taylor coefficient of (s1 + 1)**i * (s2 + 1)**j
-    around (-1, -1).  The sum of the entries of its ``numerics.jet_exp`` is
-    the interference part of the joint success probability.
-    """
-    return _exponent_detailed(params, speed, t, (threshold,))[0][0, 1:, 1:]
 
 
 def _probability(exponent: np.ndarray, noise: float, instants: int) -> float:

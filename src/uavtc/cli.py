@@ -95,25 +95,20 @@ def _parse_list(text: str | None, cast, flag: str):
 # ---------------------------------------------------------------------------
 
 
-def _sinr_points(spec: ExperimentSpec, reports):
+def _sinr_points(spec: ExperimentSpec):
     """Yield (t, dB, analytic report, Monte Carlo estimate) over the (t, threshold) grid.
 
-    ``reports`` maps (params, speed, t, thresholds) to one analytic report
-    per threshold.  Each gap takes one analytic call and one Monte Carlo
-    stream for its whole threshold grid.
+    Each gap takes one analytic call and one Monte Carlo stream for its
+    whole threshold grid.
     """
     sc = spec.scenario
     thresholds = [db_to_linear(db) for db in spec.sweep_tdb]
     for t in spec.sweep_t:
-        reps = reports(sc.params, sc.speed, t, thresholds)
+        reps = analytic.success_reports(sc.params, sc.speed, t, thresholds)
         ests = simulate._estimate_joint_grid(
             replace(sc, t_gap=float(t)), thresholds, workers=spec.workers)
         log.info("%s t=%g: %d thresholds", spec.kind, t, len(thresholds))
         yield from ((t, db, rep, est) for db, rep, est in zip(spec.sweep_tdb, reps, ests))
-
-
-def _retransmission_reports(params, speed, t, thresholds):
-    return [analytic.retransmission_report(params, speed, t, threshold) for threshold in thresholds]
 
 
 def _pmf_points(spec: ExperimentSpec):
@@ -162,18 +157,21 @@ def _rows_conditional_success(spec: ExperimentSpec):
 
 
 def _rows_retransmission(spec: ExperimentSpec):
-    for t, _, rep, est in _sinr_points(spec, _retransmission_reports):
+    # the header has no threshold column to tell the rows of several apart
+    if len(spec.sweep_tdb) != 1:
+        raise ValueError(f"retransmission takes one threshold, got sweep_tdb={spec.sweep_tdb!r}")
+    for t, _, rep, est in _sinr_points(spec):
         yield [t, rep.p_retx_given_fail, *_estimate(est.retx_given_fail), rep.p_marginal_t]
 
 
 def _rows_joint_success(spec: ExperimentSpec):
-    for t, db, rep, est in _sinr_points(spec, analytic.success_reports):
+    for t, db, rep, est in _sinr_points(spec):
         yield [t, db, rep.p_joint, *_estimate(est.joint),
                rep.p_marginal_0, rep.p_marginal_t, rep.p_independent_joint]
 
 
 def _rows_compare(spec: ExperimentSpec):
-    for t, db, rep, est in _sinr_points(spec, analytic.success_reports):
+    for t, db, rep, est in _sinr_points(spec):
         for name in ("joint", "marginal_0", "marginal_t", "retx_given_fail"):
             a_val, e = getattr(rep, f"p_{name}"), getattr(est, name)
             yield [name, None, t, db, None, a_val, *_estimate(e), _z_or_none(a_val, e)]
@@ -353,6 +351,8 @@ def _build_spec(kind, config_path, seed, replications, workers, out_dir, sweep_t
             f"--sweep-tdb values must be finite with a linear threshold > 0, got {sweep_tdb!r}")
     if m_values is not None and _rejects(check_count, m_values):
         violations.append(f"--m values must be non-negative integers, got {m_list!r}")
+    if m_values is None and scenario.m_initial is None and EXPERIMENTS[kind].needs_m:
+        violations.append("--m (or m_initial in the config) is required for this experiment")
     if violations:
         raise ConfigError(violations)
     default_m = (scenario.m_initial,) if scenario.m_initial is not None else ()
@@ -374,8 +374,6 @@ def _build_spec(kind, config_path, seed, replications, workers, out_dir, sweep_t
 def _execute(kind, **kwargs):
     try:
         spec = _build_spec(kind, **kwargs)
-        if EXPERIMENTS[kind].needs_m and not spec.m_list:
-            raise ConfigError(["--m (or m_initial in the config) is required for this experiment"])
         summary = run(spec)
     except ConfigError as exc:
         for violation in exc.violations:

@@ -36,8 +36,6 @@ __all__ = [
     "integrate",
     "integrate_detailed",
     "integrate_array_detailed",
-    "integrate_jet",
-    "integrate_jet_detailed",
 ]
 
 
@@ -307,9 +305,3 @@ def integrate(
     points: Iterable[float] = (),
 ) -> float | np.ndarray:
     return integrate_detailed(f, a, b, spec, points)[0]
-
-
-# Kept only because perfbench/spans.py patches these names; ROADMAP direction 1
-# moves that instrumentation into the library.
-integrate_jet_detailed = integrate_detailed
-integrate_jet = integrate

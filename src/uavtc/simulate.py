@@ -266,12 +266,16 @@ def _executor(workers: int, fresh: bool = False) -> ProcessPoolExecutor:
     return _pool[1]
 
 
-def _check_positive(name: str, value) -> None:
+def _is_integer_in(value, low: int, high: float = math.inf) -> bool:
+    """Whether ``value`` is an integer (numpy integers included) in [low, high)."""
     try:
-        valid = operator.index(value) >= 1
+        return low <= operator.index(value) < high
     except TypeError:
-        valid = False
-    if not valid:
+        return False
+
+
+def _check_positive(name: str, value) -> None:
+    if not _is_integer_in(value, 1):
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
@@ -281,7 +285,7 @@ def _accumulate(kernel: Callable, args: tuple, reps: int, seed: int, purpose: in
 
     Checks the run's arguments first, so a bad one never reaches a pool.
     """
-    if not 0 <= operator.index(seed) < 2**64:
+    if not _is_integer_in(seed, 0, 2**64):
         raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")
     _check_positive("replications", reps)
     _check_positive("workers", workers)

@@ -17,11 +17,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from uavtc import analytic
 from uavtc.analytic import (
     conditional_interferer_pmf,
     footprint_egress_integral,
     joint_success,
-    laplace_exponent_jet,
     marginal_success,
     mean_departures,
     retransmission_report,
@@ -186,7 +186,9 @@ def test_08_jet_derivatives_match_finite_differences():
     for k in (1, 2, 3):
         sc = baseline_scenario(k=k)
         oracle = ScalarJointOracle(sc.params, 10.0, sc.t_gap, sc.threshold)
-        exponent = laplace_exponent_jet(sc.params, sc.speed, sc.t_gap, sc.threshold)
+        exponents, _ = analytic._exponent_detailed(sc.params, sc.speed, sc.t_gap,
+                                                   [sc.threshold])
+        exponent = exponents[0, 1:, 1:]  # the joint exponent's k x k block
         orders = (k - 1, k - 1)
         noise = linear_coeffs(orders, 0.0, oracle.noise_rate, oracle.noise_rate)
         full = _mul_trunc(jet_exp(noise), jet_exp(exponent))

@@ -16,7 +16,6 @@ from uavtc.analytic import (
     footprint_egress_integral,
     footprint_ingress_integral,
     joint_success,
-    laplace_exponent_jet,
     marginal_success,
     mean_departures,
     retransmission_report,
@@ -523,7 +522,10 @@ def test_gamma_factor_coefficients_are_the_binomial_series(k):
     h2 = p.height ** 2
     gain = np.where(d2 <= ant.r_in ** 2, ant.g_main, np.where(d2 <= ant.r_out ** 2, ant.g_side, 0.0))
     q = threshold / ant.g_main * gain * (h2 / (h2 + d2)) ** (p.alpha / 2.0)
-    got = analytic._Exponent(p, [threshold]).series(d2)[:, 0]
+    ctx = analytic._Exponent(p, [threshold])
+    # the recurrence the bracket runs, at the q of the only threshold
+    powers = ctx._powers(ctx.attenuation(d2) * ctx.scale[0])
+    got = np.stack([power.copy() for power in powers], axis=-1) * ctx.binom
     assert got.shape == (len(d2), k)
     for n, qn in enumerate(q):
         for i in range(k):
@@ -533,15 +535,17 @@ def test_gamma_factor_coefficients_are_the_binomial_series(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_exponent_jet_is_a_k_by_k_array(k):
+    # one (k+1) x (k+1) array per threshold, whose [1:, 1:] block is the joint exponent
     sc = baseline_scenario(k=k)
-    jet = laplace_exponent_jet(sc.params, sc.speed, 1.0, sc.threshold)
-    assert type(jet) is np.ndarray and jet.shape == (k, k)
+    exponents, err = analytic._exponent_detailed(sc.params, sc.speed, 1.0, [sc.threshold])
+    assert type(exponents) is np.ndarray and exponents.shape == (1, k + 1, k + 1)
+    assert exponents[0, 1:, 1:].shape == (k, k) and 0.0 <= err < 1e-8
 
 
 def test_exponent_jet_vanishes_without_interferers():
     sc = baseline_scenario(**{"lambda": 0.0})
-    jet = laplace_exponent_jet(sc.params, sc.speed, 1.0, sc.threshold)
-    assert np.all(jet == 0.0)
+    exponents, err = analytic._exponent_detailed(sc.params, sc.speed, 1.0, [sc.threshold])
+    assert np.all(exponents == 0.0) and err == 0.0
 
 
 def test_retransmission_undefined_when_failures_vanish():

@@ -9,10 +9,12 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from uavtc import __version__, cli
+from uavtc import __version__, analytic, cli
 from uavtc.cli import emit_plotdata, main
 
-from helpers import BASELINE_CONFIG, count_radial_integrals
+from uavtc.numerics import QuadratureError
+
+from helpers import BASELINE_CONFIG, baseline_scenario, count_radial_integrals
 
 
 @pytest.fixture()
@@ -358,16 +360,72 @@ def test_invalid_config_exits_2_without_artifacts(runner, tmp_path):
     assert not out.exists()
 
 
-def test_degenerate_conditional_exits_3(runner, tmp_path):
+def test_degenerate_retransmission_writes_an_empty_retry_cell(runner, tmp_path):
+    # no interferers and a -200 dB threshold: the first attempt never fails,
+    # so the retry success is undefined on both sides and its cells stay empty
     cfg = dict(BASELINE_CONFIG)
     cfg.update({"lambda": 0.0, "threshold_db": -200.0, "replications": 100})
     path = tmp_path / "degenerate.json"
     path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    result = runner.invoke(main, [
+        "retransmission", "--config", str(path), "--sweep-t", "1,5", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    header, *rows = read_csv(out / "results.csv")
+    assert len(rows) == 2
+    for row in rows:
+        values = dict(zip(header, row))
+        assert values["p_retx_analytic"] == values["p_retx_mc"] == values["se"] == ""
+        assert values["p_marginal_independent"] == "1"
+
+
+@pytest.mark.parametrize("stage, made", [
+    ("rows", []),  # while the rows are computed: nothing is written
+    ("plotdata", ["results.csv"]),  # after results.csv is written: it is removed
+])
+def test_numerical_failure_exits_3_without_artifacts(runner, config_path, tmp_path, monkeypatch,
+                                                     stage, made):
+    written = []
+
+    def fail(*args):
+        raise QuadratureError("integrand is not finite at x=1.0", None, float("inf"))
+
+    def fail_after_results(results_csv, plot_path):
+        written.extend(path.name for path in results_csv.parent.iterdir())
+        fail()
+
+    if stage == "rows":
+        monkeypatch.setattr(analytic, "success_reports", fail)
+    else:
+        monkeypatch.setattr(cli, "emit_plotdata", fail_after_results)
+    out = tmp_path / "out"
+    result = runner.invoke(main, [
+        "retransmission", "--config", config_path, "--sweep-t", "1", "--out", str(out)])
+    assert result.exit_code == 3
+    assert "numerical failure: integrand is not finite" in result.output
+    assert written == made
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_retransmission_spec_with_several_thresholds_is_rejected(tmp_path):
+    # its header has no threshold column, so such rows could not be told apart
+    spec = cli.ExperimentSpec(
+        kind="retransmission", scenario=baseline_scenario(replications=100), sweep_t=(1.0,),
+        sweep_tdb=(-10.0, 0.0), m_list=(), out_dir=tmp_path / "never", workers=1)
+    with pytest.raises(ValueError, match="retransmission takes one threshold"):
+        cli.run(spec)
+    assert not spec.out_dir.exists()
+
+
+def test_missing_m_is_listed_with_the_other_violations(runner, tmp_path):
+    path = tmp_path / "no_m.json"
+    path.write_text(json.dumps({**BASELINE_CONFIG, "replications": 400}))
     out = tmp_path / "never"
     result = runner.invoke(main, [
-        "retransmission", "--config", str(path), "--out", str(out)])
-    assert result.exit_code == 3
-    assert "numerical failure" in result.output
+        "interferer-pmf", "--config", str(path), "--sweep-t=-1", "--out", str(out)])
+    assert result.exit_code == 2
+    assert "--sweep-t values must be finite and >= 0" in result.output
+    assert "--m (or m_initial in the config) is required" in result.output
     assert not out.exists()
 
 

@@ -409,6 +409,9 @@ def test_bad_counts_are_rejected_before_a_pool_starts(base, pool_starts, estimat
     pytest.param("replications", 1.5, "replications must be an integer >= 1, got 1.5",
                  id="reps=1.5"),
     pytest.param("t_gap", -1.0, "t must be finite and >= 0, got -1.0", id="t=-1"),
+    # seeds that are no integer used to raise a bare TypeError
+    *(pytest.param("seed", seed, re.escape(f"seed must lie in [0, 2**64), got {seed!r}"),
+                   id=f"seed={seed!r}") for seed in (1.5, "3", None)),
 ])
 @pytest.mark.parametrize("estimate", [
     lambda sc: estimate_joint_success(sc, workers=2),
