@@ -24,7 +24,6 @@ pass a smaller --replications for a faster pass.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -36,8 +35,7 @@ BASELINE = Path(__file__).resolve().parent.parent / "configs" / "baseline.json"
 
 
 def baseline_scenario(replications: int, seed: int):
-    config = dataclasses.replace(load_config(BASELINE), replications=replications, seed=seed)
-    return validate(config)
+    return validate({**load_config(BASELINE), "replications": replications, "seed": seed})
 
 
 def main(argv=None) -> int:

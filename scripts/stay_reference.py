@@ -67,7 +67,7 @@ def stay_probability(law, r: float, t: float) -> mp.mpf:
 
 def main() -> None:
     mp.mp.dps = 40
-    r = load_config(BASELINE).r_out
+    r = load_config(BASELINE)["r_out"]
     for label, law, t in CASES:
         print(f"{label:40s} t={t!r:<22} {mp.nstr(stay_probability(law, r, t), 40)}")
 

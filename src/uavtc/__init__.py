@@ -21,7 +21,6 @@ from .model import (
     FadingParams,
     FixedSpeed,
     NetworkParams,
-    ScenarioConfig,
     SpeedDistribution,
     TabulatedSpeed,
     UniformSpeed,

@@ -78,16 +78,21 @@ def _rejects(check, values) -> bool:
     return False
 
 
-def _parse_list(text: str | None, cast, flag: str):
-    if text is None:
-        return None
+# the flag and the element type of each list of a grid spec
+_LISTS = {"sweep_t": ("--sweep-t", float), "sweep_tdb": ("--sweep-tdb", float),
+          "m_list": ("--m", int)}
+
+
+def _parse_list(violations: list[str], text: str, flag: str, cast):
+    """The values of a comma-separated flag, or None with the reason appended to ``violations``."""
     items = [piece.strip() for piece in text.split(",")]
-    if not any(items):
-        raise ConfigError([f"{flag} must be a non-empty comma-separated list"])
     try:
-        return tuple(cast(piece) for piece in items if piece)
+        if any(items):
+            return tuple(cast(piece) for piece in items if piece)
+        violations.append(f"{flag} must be a non-empty comma-separated list")
     except ValueError as exc:
-        raise ConfigError([f"{flag}: {exc}"]) from exc
+        violations.append(f"{flag}: {exc}")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +162,6 @@ def _rows_conditional_success(spec: ExperimentSpec):
 
 
 def _rows_retransmission(spec: ExperimentSpec):
-    # the header has no threshold column to tell the rows of several apart
-    if len(spec.sweep_tdb) != 1:
-        raise ValueError(f"retransmission takes one threshold, got sweep_tdb={spec.sweep_tdb!r}")
     for t, _, rep, est in _sinr_points(spec):
         yield [t, rep.p_retx_given_fail, *_estimate(est.retx_given_fail), rep.p_marginal_t]
 
@@ -258,9 +260,43 @@ EXPERIMENTS = {
 }
 
 
+def _check_spec(spec: ExperimentSpec, violations: list[str] | None = None,
+                texts: dict | None = None) -> None:
+    """Raise one ``ConfigError`` listing ``violations`` and every rule of a grid ``spec`` breaks.
+
+    A list that is None failed to parse, with the reason in ``violations``,
+    and is not checked.  The messages quote a list as ``texts`` gives it
+    under its field name, or else as ``spec`` holds it.
+    """
+    violations = [] if violations is None else violations
+    shown = {**vars(spec), **(texts or {})}
+    experiment = EXPERIMENTS.get(spec.kind)
+    if experiment is None:
+        violations.append(f"kind must be one of {'|'.join(EXPERIMENTS)}, got {spec.kind!r}")
+    for flag, values in (("--sweep-t", spec.sweep_t), ("--sweep-tdb", spec.sweep_tdb)):
+        if values is not None and len(values) == 0:
+            violations.append(f"{flag} must be a non-empty comma-separated list")
+    if spec.sweep_t is not None and _rejects(check_gap, spec.sweep_t):
+        violations.append(f"--sweep-t values must be finite and >= 0, got {shown['sweep_t']!r}")
+    if spec.sweep_tdb is not None and not all(
+            0 < db_to_linear(tdb) < math.inf for tdb in spec.sweep_tdb):
+        violations.append("--sweep-tdb values must be finite with a linear threshold > 0, "
+                          f"got {shown['sweep_tdb']!r}")
+    if spec.m_list is not None and _rejects(check_count, spec.m_list):
+        violations.append(f"--m values must be non-negative integers, got {shown['m_list']!r}")
+    if spec.m_list is not None and len(spec.m_list) == 0 and experiment and experiment.needs_m:
+        violations.append("--m (or m_initial in the config) is required for this experiment")
+    if spec.kind == "retransmission" and spec.sweep_tdb is not None and len(spec.sweep_tdb) > 1:
+        # the header has no threshold column to tell the rows of several apart
+        violations.append(f"retransmission takes one threshold, got sweep_tdb={spec.sweep_tdb!r}")
+    if violations:
+        raise ConfigError(violations)
+
+
 def run(spec: ExperimentSpec) -> dict:
-    """Execute one experiment grid and write all artifacts."""
+    """Check a grid spec (before ``out_dir`` is made), execute it and write all artifacts."""
     started = time.time()
+    _check_spec(spec)
     experiment = EXPERIMENTS[spec.kind]
     rows = list(experiment.rows(spec))
 
@@ -338,37 +374,23 @@ def _build_spec(kind, config_path, seed, replications, workers, out_dir, sweep_t
                 sweep_tdb=None, m_list=None):
     overrides = {name: value for name, value in (("seed", seed), ("replications", replications))
                  if value is not None}
-    config = replace(load_config(config_path), **overrides)
+    config = load_config(config_path) | overrides
     scenario = validate(config)
-    t_values = _parse_list(sweep_t, float, "--sweep-t")
-    tdb_values = _parse_list(sweep_tdb, float, "--sweep-tdb")
-    m_values = _parse_list(m_list, int, "--m")
+    texts = {name: text for name, text in zip(_LISTS, (sweep_t, sweep_tdb, m_list))
+             if text is not None}
     violations = []
-    if t_values is not None and _rejects(check_gap, t_values):
-        violations.append(f"--sweep-t values must be finite and >= 0, got {sweep_t!r}")
-    if tdb_values is not None and not all(0 < db_to_linear(tdb) < math.inf for tdb in tdb_values):
-        violations.append(
-            f"--sweep-tdb values must be finite with a linear threshold > 0, got {sweep_tdb!r}")
-    if m_values is not None and _rejects(check_count, m_values):
-        violations.append(f"--m values must be non-negative integers, got {m_list!r}")
-    if m_values is None and scenario.m_initial is None and EXPERIMENTS[kind].needs_m:
-        violations.append("--m (or m_initial in the config) is required for this experiment")
-    if violations:
-        raise ConfigError(violations)
-    default_m = (scenario.m_initial,) if scenario.m_initial is not None else ()
-    if tdb_values is None:
+    given = {name: _parse_list(violations, text, *_LISTS[name]) for name, text in texts.items()}
+    defaults = {
+        "sweep_t": (scenario.t_gap,),
         # the config's own dB value, whose db_to_linear is scenario.threshold
-        tdb_values = (DEFAULT_TDB_GRID if EXPERIMENTS[kind].grid_default
-                      else (float(config.threshold_db),))
-    return ExperimentSpec(
-        kind=kind,
-        scenario=scenario,
-        sweep_t=t_values if t_values is not None else (scenario.t_gap,),
-        sweep_tdb=tdb_values,
-        m_list=m_values if m_values is not None else default_m,
-        out_dir=Path(out_dir),
-        workers=workers,
-    )
+        "sweep_tdb": (DEFAULT_TDB_GRID if EXPERIMENTS[kind].grid_default
+                      else (float(config["threshold_db"]),)),
+        "m_list": (scenario.m_initial,) if scenario.m_initial is not None else (),
+    }
+    spec = ExperimentSpec(kind=kind, scenario=scenario, out_dir=Path(out_dir), workers=workers,
+                          **(defaults | given))
+    _check_spec(spec, violations, texts)
+    return spec
 
 
 def _execute(kind, **kwargs):

@@ -2,17 +2,15 @@
 
 Every rule on a scenario's fields lives in one checker, ``_scenario``, which
 collects all violations and builds the :class:`ValidatedScenario`.  Each
-entry point goes through it: :func:`validate` of a raw
-:class:`ScenarioConfig` (after the steps only a raw config needs: resolving
-the footprint radii from beam angles and converting the threshold from dB),
-:func:`validate` of an already validated scenario, and
-:func:`scenario_from_dict` / :func:`scenario_from_json`.  Speed laws check
-their own parameters when built, so a law that exists is valid.  A speed
-density is piecewise linear, given by its knots: :class:`UniformSpeed` is
-the two-knot :class:`TabulatedSpeed`, with its own serialized form and
-sampler.  Downstream
-code only ever sees linear quantities and the footprint radii (never
-antenna angles).
+entry point goes through it: :func:`validate` of a raw config, the dict of
+its JSON keys (after resolving the footprint radii from beam angles and
+converting the threshold from dB), :func:`validate` of an already validated
+scenario, and :func:`scenario_from_dict` / :func:`scenario_from_json`.
+Speed laws check their own parameters when built, so a law that exists is
+valid.  A speed density is piecewise linear, given by its knots:
+:class:`UniformSpeed` is the two-knot :class:`TabulatedSpeed`, with its own
+serialized form and sampler.  Downstream code only ever sees linear
+quantities and the footprint radii (never antenna angles).
 """
 
 from __future__ import annotations
@@ -23,9 +21,8 @@ import math
 import numbers
 import operator
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
@@ -431,31 +428,6 @@ class NetworkParams:
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
-    """Raw, unchecked config values exactly as parsed from JSON."""
-
-    lam: Any = None
-    p_mobile: Any = None
-    height: Any = None
-    alpha: Any = None
-    noise: Any = None
-    k: Any = None
-    omega: Any = None
-    g_main: Any = None
-    g_side: Any = None
-    r_in: Any = None
-    r_out: Any = None
-    theta_m_deg: Any = None
-    theta_s_deg: Any = None
-    speed: Any = None
-    t_gap: Any = 1.0
-    threshold_db: Any = -10.0
-    m_initial: Any = None
-    replications: Any = 100_000
-    seed: Any = 0
-
-
-@dataclass(frozen=True)
 class ValidatedScenario:
     """Checked, normalized scenario; every field is in linear units."""
 
@@ -468,65 +440,68 @@ class ValidatedScenario:
     seed: int
 
 
-_CONFIG_KEYS = {"lambda" if f.name == "lam" else f.name for f in fields(ScenarioConfig)}
+# a raw config's keys and defaults: a scenario's, with the threshold in dB and the beam angles
+_CONFIG_DEFAULTS = {
+    **{key: None for key in (*_REAL_RULES, *_INTEGER_RANGES) if key != "threshold"},
+    "speed": None, "theta_m_deg": None, "theta_s_deg": None,
+    "t_gap": 1.0, "threshold_db": -10.0, "replications": 100_000, "seed": 0,
+}
 
 
-def config_from_dict(raw: dict) -> ScenarioConfig:
-    """Build a raw config from a flat dict, rejecting unknown keys."""
+def config_from_dict(raw: dict) -> dict:
+    """The raw config under every config key, absent ones at their defaults; no unknown key."""
     if not isinstance(raw, dict):
         raise ConfigError(["config must be a JSON object"])
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw) - set(_CONFIG_DEFAULTS)
     if unknown:
         raise ConfigError([f"unknown config keys: {sorted(unknown)}"])
-    kwargs = {("lam" if k == "lambda" else k): v for k, v in raw.items()}
-    return ScenarioConfig(**kwargs)
+    return {**_CONFIG_DEFAULTS, **raw}
 
 
-def load_config(path: str | Path) -> ScenarioConfig:
+def load_config(path: str | Path) -> dict:
     with open(path) as fh:
         try:
-            raw = json.load(fh)
+            return config_from_dict(json.load(fh))
         except json.JSONDecodeError as exc:
             raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
-    return config_from_dict(raw)
 
 
-def validate(config: ScenarioConfig | ValidatedScenario) -> ValidatedScenario:
+def validate(config: dict | ValidatedScenario) -> ValidatedScenario:
     """Check a scenario and return it in linear units; idempotent on validated input.
 
     Both kinds of input go through the one scenario checker, ``_scenario``.
-    A raw config first has its footprint radii resolved (as given, or from
-    the beam angles) and its threshold converted from dB; nothing else is
-    specific to it.  Raises :class:`ConfigError` listing every violated
-    constraint by field name, not just the first.
+    A raw config, a dict keyed as the JSON, goes through :func:`config_from_dict`
+    and has its footprint radii resolved (as given, or from the beam angles)
+    and its threshold converted from dB; nothing else is specific to it.
+    Raises :class:`ConfigError` listing every violation by field name.
     """
     if isinstance(config, ValidatedScenario):
         return _scenario(_fields(config), [])
+    config = config_from_dict(config)
     problems: list[str] = []
-    values = {f.name: getattr(config, f.name) for f in fields(config)
-              if f.name not in ("r_in", "r_out")}
-    values["lambda"] = config.lam
+    # the radii enter only as _radii resolves them, so unresolved ones are reported once
+    values = {key: value for key, value in config.items() if key not in ("r_in", "r_out")}
     values |= _radii(problems, config)
-    threshold_db = _real(problems, "threshold_db", config.threshold_db)
+    threshold_db = _real(problems, "threshold_db", config["threshold_db"])
     if threshold_db is not None:
         values["threshold"] = db_to_linear(threshold_db)  # inf is reported as not finite
     return _scenario(values, problems)
 
 
-def _radii(problems: list[str], config: ScenarioConfig) -> dict:
+def _radii(problems: list[str], config: dict) -> dict:
     """A raw config's footprint radii: as given, from the beam angles, or both if they agree.
 
     Radii that cannot be resolved are left out, with the reason in ``problems``.
     """
-    given = {"r_in": config.r_in, "r_out": config.r_out}
+    given = {"r_in": config["r_in"], "r_out": config["r_out"]}
     have_radii = any(r is not None for r in given.values())
-    if config.theta_m_deg is None and config.theta_s_deg is None:
+    if config["theta_m_deg"] is None and config["theta_s_deg"] is None:
         if not have_radii:
             problems.append("either (r_in, r_out) or (theta_m_deg, theta_s_deg) is required")
         return given if have_radii else {}
-    th_m = _real(problems, "theta_m_deg", config.theta_m_deg, _ABOVE_0)
-    th_s = _real(problems, "theta_s_deg", config.theta_s_deg, _ABOVE_0)
-    height = _real([], "height", config.height, _REAL_RULES["height"])  # the checker reports it
+    th_m = _real(problems, "theta_m_deg", config["theta_m_deg"], _ABOVE_0)
+    th_s = _real(problems, "theta_s_deg", config["theta_s_deg"], _ABOVE_0)
+    height = _real([], "height", config["height"], _REAL_RULES["height"])  # the checker reports it
     implied = {}
     if th_m is not None and th_s is not None:
         if not th_m < th_s < 90.0:

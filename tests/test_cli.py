@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 from uavtc import __version__, analytic, cli
 from uavtc.cli import emit_plotdata, main
-
+from uavtc.model import ConfigError
 from uavtc.numerics import QuadratureError
 
 from helpers import BASELINE_CONFIG, baseline_scenario, count_radial_integrals
@@ -426,6 +426,57 @@ def test_missing_m_is_listed_with_the_other_violations(runner, tmp_path):
     assert result.exit_code == 2
     assert "--sweep-t values must be finite and >= 0" in result.output
     assert "--m (or m_initial in the config) is required" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("change, messages", [
+    ({"kind": "interferer-pmf", "m_list": ()},
+     ["--m (or m_initial in the config) is required for this experiment"]),
+    ({"kind": "conditional-success", "m_list": ()},
+     ["--m (or m_initial in the config) is required for this experiment"]),
+    ({"kind": "joint-success", "sweep_t": ()},
+     ["--sweep-t must be a non-empty comma-separated list"]),
+    ({"kind": "compare", "sweep_tdb": ()},
+     ["--sweep-tdb must be a non-empty comma-separated list"]),
+    ({"kind": "joint-success", "sweep_tdb": (-4000.0,)},
+     ["--sweep-tdb values must be finite with a linear threshold > 0, got (-4000.0,)"]),
+    ({"kind": "bogus"}, ["kind must be one of interferer-pmf|conditional-success|retransmission|"
+                         "joint-success|compare, got 'bogus'"]),
+    ({"kind": "interferer-pmf", "sweep_t": (-1.0,), "m_list": (3, -1)},
+     ["--sweep-t values must be finite and >= 0, got (-1.0,)",
+      "--m values must be non-negative integers, got (3, -1)"]),
+])
+def test_run_rejects_a_spec_the_command_line_rejects(tmp_path, change, messages):
+    # a library spec meets the rules of the flags it stands for, all listed at once
+    spec = cli.ExperimentSpec(**{
+        "scenario": baseline_scenario(replications=100), "sweep_t": (1.0,),
+        "sweep_tdb": (-10.0,), "m_list": (5,), "out_dir": tmp_path / "never", "workers": 1,
+        **change})
+    with pytest.raises(ConfigError) as exc_info:
+        cli.run(spec)
+    assert exc_info.value.violations == messages
+    assert not spec.out_dir.exists()
+
+
+@pytest.mark.parametrize("flags, messages", [
+    (["interferer-pmf", "--sweep-t=-1", "--m=2.5"],
+     ["--m: invalid literal for int() with base 10: '2.5'",
+      "--sweep-t values must be finite and >= 0, got '-1'"]),
+    (["interferer-pmf", "--sweep-t", "", "--m=-1"],
+     ["--sweep-t must be a non-empty comma-separated list",
+      "--m values must be non-negative integers, got '-1'"]),
+    # a list that does not parse is not also reported as missing
+    (["conditional-success", "--m", ""], ["--m must be a non-empty comma-separated list"]),
+    (["interferer-pmf", "--m=x"], ["--m: invalid literal for int() with base 10: 'x'"]),
+])
+def test_a_list_that_does_not_parse_is_listed_with_the_other_violations(runner, tmp_path, flags,
+                                                                        messages):
+    path = tmp_path / "no_m.json"
+    path.write_text(json.dumps({**BASELINE_CONFIG, "replications": 400}))
+    out = tmp_path / "never"
+    result = runner.invoke(main, [*flags, "--config", str(path), "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.output.splitlines() == [f"error: {message}" for message in messages]
     assert not out.exists()
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from uavtc.model import (
     config_from_dict,
     db_to_linear,
     linear_to_db,
+    load_config,
     scenario_from_json,
     scenario_to_dict,
     scenario_to_json,
@@ -191,6 +193,49 @@ def test_angle_ordering_enforced():
 def test_neither_radii_nor_angles_rejected():
     with pytest.raises(ConfigError):
         validate(config_from_dict(raw(r_in=None, r_out=None)))
+
+
+def _without(*keys, **overrides):
+    cfg = raw(**overrides)
+    for key in keys:
+        del cfg[key]
+    return cfg
+
+
+_NO_FOOTPRINT = "either (r_in, r_out) or (theta_m_deg, theta_s_deg) is required"
+
+
+@pytest.mark.parametrize("cfg, violations", [
+    (_without("r_in", "r_out"), [_NO_FOOTPRINT]),
+    (raw(r_in=None, r_out=None), [_NO_FOOTPRINT]),
+    (_without("r_in", "r_out", theta_m_deg=30.0, theta_s_deg=20.0),
+     ["angles must satisfy 0 < theta_m_deg < theta_s_deg < 90"]),
+    (_without("r_in", "r_out", theta_m_deg=10.0), ["theta_s_deg is required"]),
+    (raw(theta_s_deg=20.0), ["theta_m_deg is required"]),
+    (_without("r_in", "r_out", theta_m_deg=10.0, theta_s_deg=20.0, height=-1.0),
+     ["height must be > 0"]),
+    (raw(theta_m_deg=10.0, theta_s_deg=20.0),
+     ["r_in=15.0 conflicts with the supplied angles (implies 8.816349035423249)",
+      "r_out=25.0 conflicts with the supplied angles (implies 18.19851171331012)"]),
+    (_without("r_out"), ["r_out is required"]),
+    (raw(**{"lambda": -1.0}, p_mobile=2.0, alpha=1.5, r_in=30.0, threshold_db="x", seed=-1,
+         speed=None),
+     ["threshold_db must be a number", "lambda must be >= 0", "p_mobile must lie in [0, 1]",
+      "alpha must exceed 2", "seed must be >= 0", "r_in must be < r_out", "speed is required"]),
+])
+def test_raw_config_violations_are_listed_once_each(cfg, violations):
+    # a radius the angles cannot resolve is reported once, by the radii's own rule
+    with pytest.raises(ConfigError) as exc_info:
+        validate(config_from_dict(cfg))
+    assert exc_info.value.violations == violations
+
+
+def test_validate_takes_the_dict_of_a_json_config():
+    path = Path(__file__).resolve().parent.parent / "configs" / "baseline.json"
+    with open(path) as fh:
+        assert validate(json.load(fh)) == validate(load_config(path))
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['foo'\]"):
+        validate({"foo": 1})
 
 
 # ---------------------------------------------------------------------------
