@@ -69,11 +69,12 @@ def _fmt(value) -> str:
 
 
 def _rejects(check, values) -> bool:
-    """Whether the shared argument rule ``check`` raises ``ValueError`` on any of ``values``."""
+    """Whether ``check`` returns False or raises ValueError or TypeError on any of ``values``."""
     for value in values:
         try:
-            check(value)
-        except ValueError:
+            if check(value) is False:
+                return True
+        except (TypeError, ValueError):
             return True
     return False
 
@@ -104,14 +105,14 @@ def _sinr_points(spec: ExperimentSpec):
     """Yield (t, dB, analytic report, Monte Carlo estimate) over the (t, threshold) grid.
 
     Each gap takes one analytic call and one Monte Carlo stream for its
-    whole threshold grid.
+    whole threshold grid; the streams of all gaps go to the workers at once.
     """
     sc = spec.scenario
     thresholds = [db_to_linear(db) for db in spec.sweep_tdb]
-    for t in spec.sweep_t:
-        reps = analytic.success_reports(sc.params, sc.speed, t, thresholds)
-        ests = simulate._estimate_joint_grid(
-            replace(sc, t_gap=float(t)), thresholds, workers=spec.workers)
+    reports = [analytic.success_reports(sc.params, sc.speed, t, thresholds) for t in spec.sweep_t]
+    estimates = simulate._estimate_joint_grid(
+        [(replace(sc, t_gap=float(t)), thresholds) for t in spec.sweep_t], workers=spec.workers)
+    for t, reps, ests in zip(spec.sweep_t, reports, estimates):
         log.info("%s t=%g: %d thresholds", spec.kind, t, len(thresholds))
         yield from ((t, db, rep, est) for db, rep, est in zip(spec.sweep_tdb, reps, ests))
 
@@ -119,15 +120,16 @@ def _sinr_points(spec: ExperimentSpec):
 def _pmf_points(spec: ExperimentSpec):
     """Yield (m, t, analytic pmf, Monte Carlo pmf) over the (m, t) grid."""
     sc = spec.scenario
-    for m in spec.m_list:
-        for t in spec.sweep_t:
-            apmf = analytic.conditional_interferer_pmf(m, sc.params, sc.speed, t)
-            mpmf = simulate.estimate_conditional_pmf(
-                m, replace(sc, t_gap=float(t)), n_max=apmf.n_max, workers=spec.workers
-            )
-            log.info("%s m=%d t=%g: n_max=%d tail=%.2e", spec.kind, m, t, apmf.n_max,
-                     apmf.tail_mass)
-            yield m, t, apmf, mpmf
+    grid = [(m, t) for m in spec.m_list for t in spec.sweep_t]
+    # every analytic pmf first: its n_max sets the Monte Carlo's
+    apmfs = [analytic.conditional_interferer_pmf(m, sc.params, sc.speed, t) for m, t in grid]
+    mpmfs = simulate._estimate_pmf_grid(
+        [(m, replace(sc, t_gap=float(t)), apmf.n_max) for (m, t), apmf in zip(grid, apmfs)],
+        workers=spec.workers)
+    for (m, t), apmf, mpmf in zip(grid, apmfs, mpmfs):
+        log.info("%s m=%d t=%g: n_max=%d tail=%.2e", spec.kind, m, t, apmf.n_max,
+                 apmf.tail_mass)
+        yield m, t, apmf, mpmf
 
 
 def _estimate(result):
@@ -150,15 +152,14 @@ def _rows_interferer_pmf(spec: ExperimentSpec):
 
 def _rows_conditional_success(spec: ExperimentSpec):
     linear = [db_to_linear(db) for db in spec.sweep_tdb]
-    for m in spec.m_list:
-        for t in spec.sweep_t:
-            results = simulate.estimate_conditional_success(
-                m, replace(spec.scenario, t_gap=float(t)), thresholds=linear,
-                workers=spec.workers
-            )
-            log.info("%s m=%d t=%g: %d thresholds", spec.kind, m, t, len(linear))
-            for db, res in zip(spec.sweep_tdb, results):
-                yield [m, t, db, res.estimate, res.std_error]
+    grid = [(m, t) for m in spec.m_list for t in spec.sweep_t]
+    results = simulate._estimate_conditional_success_grid(
+        [(m, replace(spec.scenario, t_gap=float(t)), linear) for m, t in grid],
+        workers=spec.workers)
+    for (m, t), point in zip(grid, results):
+        log.info("%s m=%d t=%g: %d thresholds", spec.kind, m, t, len(linear))
+        for db, res in zip(spec.sweep_tdb, point):
+            yield [m, t, db, res.estimate, res.std_error]
 
 
 def _rows_retransmission(spec: ExperimentSpec):
@@ -278,8 +279,8 @@ def _check_spec(spec: ExperimentSpec, violations: list[str] | None = None,
             violations.append(f"{flag} must be a non-empty comma-separated list")
     if spec.sweep_t is not None and _rejects(check_gap, spec.sweep_t):
         violations.append(f"--sweep-t values must be finite and >= 0, got {shown['sweep_t']!r}")
-    if spec.sweep_tdb is not None and not all(
-            0 < db_to_linear(tdb) < math.inf for tdb in spec.sweep_tdb):
+    if spec.sweep_tdb is not None and _rejects(lambda tdb: 0 < db_to_linear(tdb) < math.inf,
+                                               spec.sweep_tdb):
         violations.append("--sweep-tdb values must be finite with a linear threshold > 0, "
                           f"got {shown['sweep_tdb']!r}")
     if spec.m_list is not None and _rejects(check_count, spec.m_list):
@@ -375,12 +376,15 @@ def _build_spec(kind, config_path, seed, replications, workers, out_dir, sweep_t
     overrides = {name: value for name, value in (("seed", seed), ("replications", replications))
                  if value is not None}
     config = load_config(config_path) | overrides
-    scenario = validate(config)
+    try:
+        scenario, violations = validate(config), []
+    except ConfigError as exc:  # listed with the flags' violations
+        scenario, violations = None, list(exc.violations)
     texts = {name: text for name, text in zip(_LISTS, (sweep_t, sweep_tdb, m_list))
              if text is not None}
-    violations = []
     given = {name: _parse_list(violations, text, *_LISTS[name]) for name, text in texts.items()}
-    defaults = {
+    # a list that defaults from an invalid scenario is left unchecked, as None
+    defaults = dict.fromkeys(_LISTS) if scenario is None else {
         "sweep_t": (scenario.t_gap,),
         # the config's own dB value, whose db_to_linear is scenario.threshold
         "sweep_tdb": (DEFAULT_TDB_GRID if EXPERIMENTS[kind].grid_default

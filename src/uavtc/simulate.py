@@ -14,7 +14,8 @@ of blocks, so the estimates are identical bit for bit for any worker count.
 
 With more than one worker, every estimator in a process shares one process
 pool: started on first use, replaced when a call asks for another worker
-count, and joined when the interpreter exits.
+count, and joined when the interpreter exits.  A grid of points is one call
+that sends each worker one task, its share of every point's blocks.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -246,10 +247,11 @@ def _mean_result(total: int, total_sq: int, n: int, seed: int) -> EstimatorResul
     return EstimatorResult(mean, math.sqrt(max(var, 0.0) / n), n, seed)
 
 
-def _run_blocks(kernel, args, seed, purpose, lo, hi, reps):
-    """Sum of the int64 counts ``kernel`` returns for the blocks lo..hi-1, lo < hi."""
-    return sum(kernel(_block_stream(seed, purpose, b), min(_BLOCK, reps - b * _BLOCK), *args)
-               for b in range(lo, hi))
+def _run_share(share):
+    """The int64 sum of each part of ``share`` over its blocks lo..hi-1, 0 if none."""
+    return [sum(kernel(_block_stream(seed, purpose, b), min(_BLOCK, reps - b * _BLOCK), *args)
+                for b in range(lo, hi))
+            for kernel, args, seed, purpose, lo, hi, reps in share]
 
 
 _pool: tuple[int, ProcessPoolExecutor] | None = None  # (workers, pool) of this process
@@ -279,37 +281,40 @@ def _check_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
-def _accumulate(kernel: Callable, args: tuple, reps: int, seed: int, purpose: int,
-                workers: int) -> np.ndarray:
-    """Sum ``kernel`` over the blocks of ``reps`` replications of the scenario ``args[0]``.
+def _accumulate(runs: Sequence[tuple], workers: int) -> list[np.ndarray]:
+    """Sum each (kernel, args, reps, seed, purpose) run's kernel over its blocks.
 
-    Checks the run's arguments first, so a bad one never reaches a pool.
+    ``args[0]`` is the run's scenario.  Checks every run's arguments first,
+    so a bad one never reaches a pool.  Worker w gets one task: the w-th
+    contiguous share of every run's blocks.  One share runs in this process.
     """
-    if not _is_integer_in(seed, 0, 2**64):
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")
-    _check_positive("replications", reps)
+    for _, args, reps, seed, _ in runs:
+        if not _is_integer_in(seed, 0, 2**64):
+            raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")
+        _check_positive("replications", reps)
+        check_gap(args[0].t_gap)
     _check_positive("workers", workers)
-    check_gap(args[0].t_gap)
-    blocks = -(-reps // _BLOCK)
-    chunks = min(workers, blocks)
-    if chunks <= 1:
-        return _run_blocks(kernel, args, seed, purpose, 0, blocks, reps)
-    bounds = np.linspace(0, blocks, chunks + 1, dtype=int)
+    blocks = [-(-reps // _BLOCK) for _, _, reps, _, _ in runs]
+    chunks = min(workers, max(blocks, default=1))
+    shares = [[(kernel, args, seed, purpose, n * w // chunks, n * (w + 1) // chunks, reps)
+               for (kernel, args, reps, seed, purpose), n in zip(runs, blocks)]
+              for w in range(chunks)]  # none empty: the run of the most blocks has one in each
 
     def run(pool):
-        futures = [
-            pool.submit(_run_blocks, kernel, args, seed, purpose, int(lo), int(hi), reps)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-        return sum(fut.result() for fut in futures)
+        futures = [pool.submit(_run_share, share) for share in shares]
+        return [fut.result() for fut in futures]
 
-    with _pool_lock:
-        try:
-            return run(_executor(workers))
-        except BrokenProcessPool:
-            # a worker of the kept pool died, perhaps while idle; the blocks are
-            # pure functions of (seed, block), so a fresh pool gives the same sums
-            return run(_executor(workers, fresh=True))
+    if chunks == 1:
+        results = [_run_share(shares[0])]
+    else:
+        with _pool_lock:
+            try:
+                results = run(_executor(workers))
+            except BrokenProcessPool:
+                # a worker of the kept pool died, perhaps while idle; the blocks are
+                # pure functions of (seed, block), so a fresh pool gives the same sums
+                results = run(_executor(workers, fresh=True))
+    return [sum(sums) for sums in zip(*results)]
 
 
 # ---------------------------------------------------------------------------
@@ -378,32 +383,38 @@ def estimate_joint_success(
     workers: int = 1,
 ) -> JointSuccessEstimate:
     """Joint/marginal/conditional success estimates from one replication stream."""
-    return _estimate_joint_grid(scenario, (scenario.threshold,), workers)[0]
+    return _estimate_joint_grid([(scenario, (scenario.threshold,))], workers)[0][0]
 
 
-def _estimate_joint_grid(scenario: ValidatedScenario, thresholds: Sequence[float],
-                         workers: int = 1) -> list[JointSuccessEstimate]:
-    """:func:`estimate_joint_success` at each of ``thresholds``, from one replication stream.
-
-    Each threshold's estimates equal those of its own call bit for bit:
-    the thresholds only enter the comparisons of one shared draw.
-    """
+def _threshold_grid(thresholds: Sequence[float]) -> np.ndarray:
     grid = np.asarray(list(thresholds), dtype=float)
     for threshold in grid.tolist():
         check_threshold(threshold)
-    seed, reps = scenario.seed, scenario.replications
-    acc = _accumulate(_joint_kernel, (scenario, grid), reps, seed, _JOINT, workers)
-    estimates = []
-    for joint_c, s0_c, st_c in acc.reshape(-1, 3).tolist():
-        # of the reps - s0_c failures at 0, st_c - joint_c succeed at t
-        estimates.append(JointSuccessEstimate(
-            joint=_bernoulli_result(joint_c, reps, seed),
-            marginal_0=_bernoulli_result(s0_c, reps, seed),
-            marginal_t=_bernoulli_result(st_c, reps, seed),
-            retx_given_fail=(_bernoulli_result(st_c - joint_c, reps - s0_c, seed)
-                             if s0_c < reps else None),
-        ))
-    return estimates
+    return grid
+
+
+def _estimate_joint_grid(points: Sequence[tuple], workers: int = 1) -> list[list]:
+    """:func:`estimate_joint_success` at each threshold of each (scenario, thresholds) point.
+
+    A point's estimates come from one replication stream, and each
+    threshold's equal those of its own call bit for bit: the thresholds only
+    enter the comparisons of one shared draw.
+    """
+    runs = [(_joint_kernel, (sc, _threshold_grid(thresholds)), sc.replications, sc.seed, _JOINT)
+            for sc, thresholds in points]
+    return [[_joint_estimate(*counts, reps, seed) for counts in acc.reshape(-1, 3).tolist()]
+            for (_, _, reps, seed, _), acc in zip(runs, _accumulate(runs, workers))]
+
+
+def _joint_estimate(joint_c, s0_c, st_c, reps, seed) -> JointSuccessEstimate:
+    # of the reps - s0_c failures at 0, st_c - joint_c succeed at t
+    return JointSuccessEstimate(
+        joint=_bernoulli_result(joint_c, reps, seed),
+        marginal_0=_bernoulli_result(s0_c, reps, seed),
+        marginal_t=_bernoulli_result(st_c, reps, seed),
+        retx_given_fail=(_bernoulli_result(st_c - joint_c, reps - s0_c, seed)
+                         if s0_c < reps else None),
+    )
 
 
 def estimate_conditional_pmf(
@@ -413,12 +424,17 @@ def estimate_conditional_pmf(
     workers: int = 1,
 ) -> InterfererPmf:
     """Empirical pmf of the second-instant count given m initial interferers."""
-    m = check_count(m)
-    n_max = check_n_max(n_max)
-    seed, reps = scenario.seed, scenario.replications
-    acc = _accumulate(_pmf_kernel, (scenario, m, n_max), reps, seed, _PMF, workers)
-    probs = acc[: n_max + 1] / reps
-    return InterfererPmf(m=m, t=scenario.t_gap, probs=probs, tail_mass=float(acc[-1] / reps))
+    return _estimate_pmf_grid([(m, scenario, n_max)], workers)[0]
+
+
+def _estimate_pmf_grid(points: Sequence[tuple], workers: int = 1) -> list[InterfererPmf]:
+    """:func:`estimate_conditional_pmf` at each (m, scenario, n_max) point."""
+    points = [(check_count(m), sc, check_n_max(n_max)) for m, sc, n_max in points]
+    sums = _accumulate([(_pmf_kernel, (sc, m, n_max), sc.replications, sc.seed, _PMF)
+                        for m, sc, n_max in points], workers)
+    return [InterfererPmf(m=m, t=sc.t_gap, probs=acc[: n_max + 1] / sc.replications,
+                          tail_mass=float(acc[-1] / sc.replications))
+            for (m, sc, n_max), acc in zip(points, sums)]
 
 
 def estimate_conditional_success(
@@ -434,14 +450,16 @@ def estimate_conditional_success(
     """
     if thresholds is None:
         thresholds = [db_to_linear(db) for db in DEFAULT_TDB_GRID]
-    grid = np.asarray(list(thresholds), dtype=float)
-    for threshold in grid.tolist():
-        check_threshold(threshold)
-    m = check_count(m)
-    seed, reps = scenario.seed, scenario.replications
-    acc = _accumulate(_cond_success_kernel, (scenario, m, grid), reps, seed, _COND_SUCCESS,
-                      workers)
-    return [_bernoulli_result(int(c), reps, seed) for c in acc]
+    return _estimate_conditional_success_grid([(m, scenario, thresholds)], workers)[0]
+
+
+def _estimate_conditional_success_grid(points: Sequence[tuple], workers: int = 1) -> list[list]:
+    """:func:`estimate_conditional_success` at each (m, scenario, thresholds) point."""
+    grids = [_threshold_grid(thresholds) for _, _, thresholds in points]
+    runs = [(_cond_success_kernel, (sc, check_count(m), grid), sc.replications, sc.seed,
+             _COND_SUCCESS) for (m, sc, _), grid in zip(points, grids)]
+    return [[_bernoulli_result(int(c), reps, seed) for c in acc]
+            for (_, _, reps, seed, _), acc in zip(runs, _accumulate(runs, workers))]
 
 
 def estimate_arrivals_departures(
@@ -452,7 +470,7 @@ def estimate_arrivals_departures(
     """Mean (arrivals, departures) of footprint crossings between the instants."""
     m = check_count(m)
     seed, reps = scenario.seed, scenario.replications
-    acc = _accumulate(_arr_dep_kernel, (scenario, m), reps, seed, _ARR_DEP, workers)
+    (acc,) = _accumulate([(_arr_dep_kernel, (scenario, m), reps, seed, _ARR_DEP)], workers)
     dep = _mean_result(int(acc[0]), int(acc[1]), reps, seed)
     arr = _mean_result(int(acc[2]), int(acc[3]), reps, seed)
     return arr, dep

@@ -29,3 +29,19 @@ def pool_starts(monkeypatch):
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
     yield started
     _drop_kept_pool()
+
+
+@pytest.fixture
+def pool_tasks(monkeypatch):
+    """The function of each task submitted to the kept process pool during the test."""
+    submitted = []
+
+    class CountingPool(simulate.ProcessPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(fn.__name__)
+            return super().submit(fn, *args, **kwargs)
+
+    _drop_kept_pool()
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
+    yield submitted
+    _drop_kept_pool()

@@ -207,6 +207,46 @@ def test_successive_runs_start_one_pool(runner, config_path, tmp_path, pool_star
     assert pool_starts == [2]
 
 
+@pytest.mark.parametrize("command, flags, tasks", [
+    # at the grid point as the unit these sent 8, 8, 4 and 8 tasks
+    ("interferer-pmf", ["--m", "5,15"], 2),
+    ("conditional-success", ["--m", "5,15"], 2),
+    ("joint-success", ["--sweep-tdb", "-10,0"], 2),
+    ("compare", ["--m", "5"], 4),
+])
+def test_a_grid_sends_one_task_per_worker(runner, config_path, tmp_path, pool_tasks, command,
+                                          flags, tasks):
+    result = runner.invoke(main, [
+        command, "--config", config_path, *flags, "--sweep-t", "1,5", "--replications", "3000",
+        "--workers", "2", "--out", str(tmp_path / "w2")])
+    assert result.exit_code == 0, result.output
+    assert pool_tasks == ["_run_share"] * tasks
+    result = runner.invoke(main, [
+        command, "--config", config_path, *flags, "--sweep-t", "1,5", "--replications", "3000",
+        "--out", str(tmp_path / "w1")])
+    assert result.exit_code == 0, result.output
+    for name in ("results.csv", "plotdata.csv"):
+        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("compare", []),  # no --m and no m_initial: an empty pmf grid
+    ("interferer-pmf", ["--m", "3,9"]),
+])
+def test_one_block_grids_at_three_workers_match_one_worker(runner, tmp_path, pool_starts,
+                                                           command, flags):
+    path = tmp_path / "no_m.json"
+    path.write_text(json.dumps({**BASELINE_CONFIG, "replications": 100}))
+    for workers in ("1", "3"):
+        result = runner.invoke(main, [
+            command, "--config", str(path), *flags, "--sweep-t", "1,5", "--workers", workers,
+            "--out", str(tmp_path / workers)])
+        assert result.exit_code == 0, result.output
+    assert pool_starts == []  # one block per point: each grid runs in this process
+    for name in ("results.csv", "plotdata.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "3" / name).read_bytes()
+
+
 def test_conditional_success_grid(runner, config_path, tmp_path):
     out = tmp_path / "cs"
     result = runner.invoke(main, [
@@ -445,6 +485,15 @@ def test_missing_m_is_listed_with_the_other_violations(runner, tmp_path):
     ({"kind": "interferer-pmf", "sweep_t": (-1.0,), "m_list": (3, -1)},
      ["--sweep-t values must be finite and >= 0, got (-1.0,)",
       "--m values must be non-negative integers, got (3, -1)"]),
+    # entries that are no number used to raise a bare TypeError
+    ({"kind": "joint-success", "sweep_t": ("1",)},
+     ["--sweep-t values must be finite and >= 0, got ('1',)"]),
+    ({"kind": "joint-success", "sweep_tdb": ("x",)},
+     ["--sweep-tdb values must be finite with a linear threshold > 0, got ('x',)"]),
+    ({"kind": "compare", "sweep_t": (1.0, None), "sweep_tdb": (-10.0, "0"), "m_list": ("5",)},
+     ["--sweep-t values must be finite and >= 0, got (1.0, None)",
+      "--sweep-tdb values must be finite with a linear threshold > 0, got (-10.0, '0')",
+      "--m values must be non-negative integers, got ('5',)"]),
 ])
 def test_run_rejects_a_spec_the_command_line_rejects(tmp_path, change, messages):
     # a library spec meets the rules of the flags it stands for, all listed at once
@@ -477,6 +526,23 @@ def test_a_list_that_does_not_parse_is_listed_with_the_other_violations(runner, 
     result = runner.invoke(main, [*flags, "--config", str(path), "--out", str(out)])
     assert result.exit_code == 2
     assert result.output.splitlines() == [f"error: {message}" for message in messages]
+    assert not out.exists()
+
+
+def test_scenario_and_flag_violations_are_listed_together(runner, tmp_path):
+    # the scenario's violations used to be raised alone, before any flag was checked
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**BASELINE_CONFIG, "p_mobile": 7.0, "seed": -1}))
+    out = tmp_path / "never"
+    result = runner.invoke(main, [
+        "interferer-pmf", "--config", str(path), "--m=-1", "--sweep-t=-1", "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.output.splitlines() == [
+        "error: p_mobile must lie in [0, 1]",
+        "error: seed must be >= 0",
+        "error: --sweep-t values must be finite and >= 0, got '-1'",
+        "error: --m values must be non-negative integers, got '-1'",
+    ]
     assert not out.exists()
 
 

@@ -121,6 +121,31 @@ def test_numpy_integer_workers_keep_their_results(base):
     assert estimate_joint_success(sc, workers=np.int64(2)) == estimate_joint_success(sc)
 
 
+def test_accumulate_sums_a_grid_alike_at_any_worker_count(base):
+    # one run of a single block beside one of 12 blocks, so 3 workers leave a part empty
+    runs = [(simulate._pmf_kernel, (dataclasses.replace(base, replications=100), 5, 20),
+             100, 3, simulate._PMF),
+            (simulate._joint_kernel, (dataclasses.replace(base, replications=3000, t_gap=5.0),
+                                      np.array([0.1, 1.0])), 3000, 3, simulate._JOINT)]
+    serial = simulate._accumulate(runs, 1)
+    alone = [simulate._accumulate([run], 1)[0] for run in runs]
+    for workers in (2, 3):
+        got = simulate._accumulate(runs, workers)
+        assert [a.tolist() for a in got] == [a.tolist() for a in serial], f"workers={workers}"
+    assert [a.tolist() for a in alone] == [a.tolist() for a in serial]
+    assert [a.dtype for a in serial] == [np.dtype(np.int64)] * 2
+    assert simulate._accumulate([], 3) == []
+
+
+def test_a_pmf_grid_is_one_task_per_worker_and_equals_its_points(base, pool_tasks):
+    points = [(m, dataclasses.replace(base, replications=3000, t_gap=t), 30)
+              for m in (5, 15) for t in (1.0, 5.0)]
+    grid = simulate._estimate_pmf_grid(points, workers=2)
+    assert len(pool_tasks) == 2
+    singles = [estimate_conditional_pmf(*point, workers=1) for point in points]
+    assert [_as_values(pmf) for pmf in grid] == [_as_values(pmf) for pmf in singles]
+
+
 def test_a_killed_idle_worker_does_not_fail_the_next_call(base, pool_starts):
     # a worker that dies between calls breaks the kept pool; the next call
     # reruns on a fresh pool instead of raising BrokenProcessPool
@@ -445,7 +470,7 @@ def test_joint_grid_columns_equal_single_threshold_runs(base, workers):
     # the grid compares one shared draw against every threshold
     sc = dataclasses.replace(base, replications=700)
     thresholds = [0.0, 0.01, 0.1, 1.0, 10.0]
-    grid = simulate._estimate_joint_grid(sc, thresholds, workers=workers)
+    (grid,) = simulate._estimate_joint_grid([(sc, thresholds)], workers=workers)
     singles = [estimate_joint_success(dataclasses.replace(sc, threshold=threshold),
                                       workers=workers) for threshold in thresholds]
     assert grid == singles
@@ -454,8 +479,8 @@ def test_joint_grid_columns_equal_single_threshold_runs(base, workers):
 @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0])
 def test_joint_grid_rejects_bad_thresholds_before_a_pool_starts(base, pool_starts, threshold):
     with pytest.raises(ValueError, match="threshold must be finite and >= 0, got"):
-        simulate._estimate_joint_grid(dataclasses.replace(base, replications=1000),
-                                      [0.1, threshold], workers=2)
+        simulate._estimate_joint_grid([(dataclasses.replace(base, replications=1000),
+                                        [0.1, threshold])], workers=2)
     assert pool_starts == []
 
 
